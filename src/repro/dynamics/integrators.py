@@ -7,9 +7,10 @@ and for cross-checking.
 
 Both schemes are shape-agnostic: every operation is elementwise in ``y``, so
 the same functions integrate a single ``(13,)`` state vector (the scalar
-plant) and an ``(L, 13)`` state stack (the batched plant in
-:mod:`repro.sim.batch` — see :func:`repro.dynamics.quadrotor.batched_derivative`)
-with identical per-lane arithmetic.
+plant) and a lane-minor ``(13, n)`` state stack, one column per lane (the
+batched plant in :mod:`repro.sim.batch` — see
+:func:`repro.dynamics.quadrotor.lane_minor_derivative_factory`), with
+identical per-lane arithmetic.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from .state import (
     RigidBodyState,
     quat_derivative,
     quat_normalize,
-    quat_normalize_batched,
     quat_rotate,
     quat_rotate_inverse,
     quat_to_euler,
@@ -35,8 +34,7 @@ from .state import (
 __all__ = [
     "QuadrotorParameters",
     "Quadrotor",
-    "batched_derivative",
-    "batched_derivative_factory",
+    "lane_minor_derivative_factory",
 ]
 
 
@@ -80,117 +78,155 @@ class QuadrotorParameters:
         return weight / (4.0 * self.motor.max_thrust)
 
 
-def batched_derivative_factory(params: QuadrotorParameters, environment: Environment):
-    """Two-stage vectorised counterpart of :meth:`Quadrotor._derivative`.
+#: Identity quaternion as a ``(4, 1)`` column, broadcast over lanes.
+_IDENTITY_COLUMN = np.array([[1.0], [0.0], [0.0], [0.0]])
 
-    The outer call hoists everything that is constant over a flight (wind,
-    gravity, the inertia tensor and its inverse); the returned ``make`` binds
-    one step's per-lane body wrench — ``(L, 3)`` forces and torques, held
-    constant across the integrator stages exactly as the scalar plant holds
-    them — and yields ``f(t, y)`` mapping an ``(L, 13)`` state stack to its
-    derivative stack, suitable for the shape-agnostic integrators in
-    :mod:`repro.dynamics.integrators`.
+# Cross products over row stacks: gathering u at rows _CROSS_U and v at rows
+# _CROSS_V gives the six products whose halves subtract to u x v, since
+# (u x v)_i = u_{i+1} v_{i+2} - u_{i+2} v_{i+1}.
+_CROSS_U = np.array([1, 2, 0, 2, 0, 1])
+_CROSS_V = np.array([2, 0, 1, 1, 2, 0])
+# Quaternion rows for the thrust rotation: the vector part (which starts at
+# row 1) in _CROSS_U order, then w three times.
+_ROTATION_QUAT_ROWS = np.concatenate((_CROSS_U + 1, [0, 0, 0]))
+
+# Row gathers for qdot = 0.5 * q (x) (0, omega) over ``concatenate((q, -q))``
+# (rows 0-3 are w, x, y, z; rows 4-7 their negations).  Product k of
+# component r sits at row ``4 * k + r``:
+#   qdot_w = (-x w0 + -y w1) + -z w2      qdot_x = (w w0 + y w2) + -z w1
+#   qdot_y = (w w1 + -x w2) + z w0        qdot_z = (w w2 + x w1) + -y w0
+_QDOT_QUAT_ROWS = np.array([5, 0, 0, 0, 6, 2, 5, 1, 7, 7, 3, 6])
+_QDOT_OMEGA_ROWS = np.array([0, 0, 1, 2, 1, 2, 2, 1, 2, 1, 0, 0])
+
+# Each row of a 3-vector stack repeated 6 or 3 times, block after block.
+_SPREAD_6 = np.repeat(np.arange(3), 6)
+_SPREAD_3 = np.repeat(np.arange(3), 3)
+
+
+def _normalize_quat_rows(q: np.ndarray) -> np.ndarray:
+    """:func:`~repro.dynamics.state.quat_normalize_batched` over ``(4, n)`` rows.
+
+    Same sum order and the same ``< 1e-12`` guard (a degenerate column maps
+    to the identity); a NaN column compares false and stays NaN.
+    """
+    squares = q * q
+    norm = np.sqrt(((squares[0] + squares[1]) + squares[2]) + squares[3])
+    degenerate = norm < 1e-12
+    if not np.count_nonzero(degenerate):
+        return q / norm
+    out = q / np.where(degenerate, 1.0, norm)
+    out[:, degenerate] = _IDENTITY_COLUMN
+    return out
+
+
+def lane_minor_derivative_factory(params: QuadrotorParameters, environment: Environment):
+    """Lane-minor vectorised counterpart of :meth:`Quadrotor._derivative`.
+
+    States are ``(13, n)`` stacks: one contiguous row per state component,
+    one column per lane, so every formula below is a handful of whole-row
+    ufunc calls whatever the width.  The outer call hoists what is constant
+    over a flight (wind, gravity, drag, mass, the inertia tensor and its
+    inverse); the returned ``make`` binds one step's body wrench — ``(3, n)``
+    forces and torques, held constant across the integrator stages exactly
+    as the scalar plant holds them — and yields ``f(t, y)`` for the
+    shape-agnostic integrators in :mod:`repro.dynamics.integrators`.
+
+    Each element is evaluated in the operation order of its component
+    formula (spelled out in the comments below), up to IEEE-exact rewrites
+    only: swapping the operands of one ``+`` or ``*``, ``a - b`` as
+    ``a + (-b)`` and ``(-a) * b`` as ``-(a * b)``.  So row-wise evaluation
+    gives the same bits as component-wise evaluation, and since all
+    arithmetic is elementwise over the lane axis, a lane's derivative never
+    depends on the batch width.
 
     Only :class:`~repro.dynamics.environment.ConstantWind` is supported: a
     time- or position-dependent wind field would need the per-lane plant time,
-    which the lockstep batch core deliberately shares.  All arithmetic is
-    elementwise over the lane axis (matrix products are expanded row by row)
-    so a lane's derivative never depends on the batch width.
+    which the lockstep batch core deliberately shares.
     """
     if not isinstance(environment.wind, ConstantWind):
         raise TypeError(
-            "batched_derivative supports ConstantWind only; "
+            "lane_minor_derivative_factory supports ConstantWind only; "
             f"got {type(environment.wind).__name__}"
         )
-    wind = np.asarray(environment.wind.velocity_ned, dtype=float)
-    gravity = environment.gravity_vector()
     inertia = np.asarray(params.inertia, dtype=float)
-    inertia_inv = np.linalg.inv(inertia)
-    linear_drag = np.asarray(params.linear_drag, dtype=float)
-    mass = params.mass
-    angular_drag = params.angular_drag
-    i00, i01, i02 = inertia[0]
-    i10, i11, i12 = inertia[1]
-    i20, i21, i22 = inertia[2]
-    v00, v01, v02 = inertia_inv[0]
-    v10, v11, v12 = inertia_inv[1]
-    v20, v21, v22 = inertia_inv[2]
-
-    wind0, wind1, wind2 = wind
-    drag0, drag1, drag2 = linear_drag
-    grav0, grav1, grav2 = gravity
+    # ``M @ v`` over a (3, n) stack is the left fold over j of M[:, j] * v[j].
+    # Stacking the three j blocks row-wise turns each product into one
+    # elementwise multiply of ``v.take(_SPREAD_*)`` by the coefficient rows;
+    # the gyroscopic term takes I @ omega straight in _CROSS_V row order.
+    columns = (
+        np.asarray(environment.wind.velocity_ned, dtype=float),
+        environment.gravity_vector(),
+        -np.asarray(params.linear_drag, dtype=float),
+        np.full(3, params.mass),
+        np.full(3, 2.0),
+        np.full(3, -params.angular_drag),
+        np.full(4, 0.5),
+        inertia[_CROSS_V].T.ravel(),
+        np.linalg.inv(inertia).T.ravel(),
+    )
+    widened: dict[int, tuple[np.ndarray, ...]] = {}
 
     def make(force_body: np.ndarray, torque_body: np.ndarray):
-        fb0 = force_body[..., 0]
-        fb1 = force_body[..., 1]
-        fb2 = force_body[..., 2]
-        tb0 = torque_body[..., 0]
-        tb1 = torque_body[..., 1]
-        tb2 = torque_body[..., 2]
+        lanes = force_body.shape[1]
+        if lanes not in widened:
+            # Constants as full (rows, lanes) arrays: elementwise ufuncs on
+            # equal shapes skip numpy's broadcasting set-up, which costs as
+            # much as the arithmetic at these widths.
+            widened[lanes] = tuple(np.repeat(c[:, None], lanes, axis=1) for c in columns)
+        (
+            wind, gravity, neg_drag, mass, two, neg_angular_drag, half,
+            inertia_cross, inertia_inv,
+        ) = widened[lanes]
+        force_cross = force_body.take(_CROSS_V, axis=0)
 
         def f(_t: float, y: np.ndarray) -> np.ndarray:
             # from_vector normalises once and the scalar derivative
             # normalises again; replicate both (the second pass still moves
             # the last ulp) so stage quaternions stay on the unit sphere.
-            quat = quat_normalize_batched(quat_normalize_batched(y[..., 6:10]))
-            qw = quat[..., 0]
-            qx = quat[..., 1]
-            qy = quat[..., 2]
-            qz = quat[..., 3]
+            quat = _normalize_quat_rows(_normalize_quat_rows(y[6:10]))
+            gathered = quat.take(_ROTATION_QUAT_ROWS, axis=0)
+            qvec_cross = gathered[0:6]
 
             # Body-to-world rotation of the thrust vector, in the expanded
-            # t = 2 (q_vec x v), v' = v + w t + q_vec x t form: equal to the
-            # Hamilton sandwich for unit quaternions, elementwise over lanes,
-            # and roughly a third of the ufunc dispatches.
-            c0 = 2.0 * (qy * fb2 - qz * fb1)
-            c1 = 2.0 * (qz * fb0 - qx * fb2)
-            c2 = 2.0 * (qx * fb1 - qy * fb0)
-            r0 = fb0 + qw * c0 + (qy * c2 - qz * c1)
-            r1 = fb1 + qw * c1 + (qz * c0 - qx * c2)
-            r2 = fb2 + qw * c2 + (qx * c1 - qy * c0)
+            # c = 2 (q_vec x f), f' = f + w c + q_vec x c form: equal to the
+            # Hamilton sandwich for unit quaternions.
+            products = qvec_cross * force_cross
+            c = two * (products[0:3] - products[3:6])
+            products = qvec_cross * c.take(_CROSS_V, axis=0)
+            rotated = (force_body + gathered[6:9] * c) + (products[0:3] - products[3:6])
 
             derivative = np.empty(y.shape)
-            derivative[..., 0:3] = y[..., 3:6]
-            v0 = y[..., 3]
-            v1 = y[..., 4]
-            v2 = y[..., 5]
-            derivative[..., 3] = (r0 + -drag0 * (v0 - wind0)) / mass + grav0
-            derivative[..., 4] = (r1 + -drag1 * (v1 - wind1)) / mass + grav1
-            derivative[..., 5] = (r2 + -drag2 * (v2 - wind2)) / mass + grav2
+            derivative[0:3] = y[3:6]
+            np.add(
+                (rotated + neg_drag * (y[3:6] - wind)) / mass,
+                gravity,
+                out=derivative[3:6],
+            )
 
-            w0 = y[..., 10]
-            w1 = y[..., 11]
-            w2 = y[..., 12]
+            omega = y[10:13]
             # qdot = 0.5 * q (x) (0, omega), zero terms dropped.
-            derivative[..., 6] = 0.5 * (-qx * w0 - qy * w1 - qz * w2)
-            derivative[..., 7] = 0.5 * (qw * w0 + qy * w2 - qz * w1)
-            derivative[..., 8] = 0.5 * (qw * w1 - qx * w2 + qz * w0)
-            derivative[..., 9] = 0.5 * (qw * w2 + qx * w1 - qy * w0)
+            products = np.concatenate((quat, -quat)).take(
+                _QDOT_QUAT_ROWS, axis=0
+            ) * omega.take(_QDOT_OMEGA_ROWS, axis=0)
+            np.multiply(
+                half,
+                (products[0:4] + products[4:8]) + products[8:12],
+                out=derivative[6:10],
+            )
 
-            iw0 = i00 * w0 + i01 * w1 + i02 * w2
-            iw1 = i10 * w0 + i11 * w1 + i12 * w2
-            iw2 = i20 * w0 + i21 * w1 + i22 * w2
-            t0 = tb0 + -angular_drag * w0 - (w1 * iw2 - w2 * iw1)
-            t1 = tb1 + -angular_drag * w1 - (w2 * iw0 - w0 * iw2)
-            t2 = tb2 + -angular_drag * w2 - (w0 * iw1 - w1 * iw0)
-            derivative[..., 10] = v00 * t0 + v01 * t1 + v02 * t2
-            derivative[..., 11] = v10 * t0 + v11 * t1 + v12 * t2
-            derivative[..., 12] = v20 * t0 + v21 * t1 + v22 * t2
+            terms = inertia_cross * omega.take(_SPREAD_6, axis=0)
+            inertia_omega = (terms[0:6] + terms[6:12]) + terms[12:18]
+            products = omega.take(_CROSS_U, axis=0) * inertia_omega
+            torque = (torque_body + neg_angular_drag * omega) - (
+                products[0:3] - products[3:6]
+            )
+            terms = inertia_inv * torque.take(_SPREAD_3, axis=0)
+            np.add(terms[0:3] + terms[3:6], terms[6:9], out=derivative[10:13])
             return derivative
 
         return f
 
     return make
-
-
-def batched_derivative(
-    params: QuadrotorParameters,
-    environment: Environment,
-    force_body: np.ndarray,
-    torque_body: np.ndarray,
-):
-    """One-shot form of :func:`batched_derivative_factory` (same ``f``)."""
-    return batched_derivative_factory(params, environment)(force_body, torque_body)
 
 
 class Quadrotor:

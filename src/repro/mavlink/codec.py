@@ -19,6 +19,7 @@ assumed by the Table I payload sizes (see :mod:`repro.mavlink.messages`).
 
 from __future__ import annotations
 
+import binascii
 import struct
 from dataclasses import dataclass
 
@@ -36,16 +37,13 @@ class DecodeError(ValueError):
 
 
 def crc16(data: bytes, seed: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE used to protect the frame."""
-    crc = seed
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/CCITT-FALSE used to protect the frame.
+
+    Polynomial 0x1021, MSB first, no reflection, no final XOR; ``seed`` is
+    the initial register (0xFFFF for CCITT-FALSE).  ``binascii.crc_hqx``
+    computes exactly this CRC in C.
+    """
+    return binascii.crc_hqx(data, seed)
 
 
 @dataclass(frozen=True)

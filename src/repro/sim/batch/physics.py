@@ -5,8 +5,16 @@ operations.  Every formula mirrors :class:`repro.dynamics.quadrotor.Quadrotor`
 step for step — motor lag, mixer summation order, the RK4 call, ground
 contact and both crash checks — so a one-lane batch reproduces the scalar
 plant's trajectory to within floating-point associativity, and lanes never
-interact: all cross-lane reductions are forbidden (see
-:func:`repro.dynamics.quadrotor.batched_derivative`).
+interact: all cross-lane reductions are forbidden.
+
+The public state ``y`` is lane-major, ``(L, 13)``, because the rest of the
+batch core reads it a lane at a time.  The step itself works lane-minor:
+it transposes the stepped lanes once into a contiguous ``(13, n)`` copy,
+runs the motor lag and mixer on ``(4, n)`` rotor rows and RK4 on the
+``(13, n)`` stack (see
+:func:`repro.dynamics.quadrotor.lane_minor_derivative_factory`), and writes
+the result back once.  Row formulas keep each element's operation order, so
+the layout never changes a bit.
 
 Crashed lanes keep their frozen state ("a crashed vehicle stays where it
 fell") while the rest of the batch keeps flying; the step computes full-width
@@ -20,8 +28,12 @@ import numpy as np
 
 from ...dynamics.environment import Environment
 from ...dynamics.integrators import rk4_step
-from ...dynamics.quadrotor import QuadrotorParameters, batched_derivative_factory
-from ...dynamics.state import quat_normalize_batched, quat_rotate_inverse_batched, quat_to_euler_batched
+from ...dynamics.quadrotor import (
+    QuadrotorParameters,
+    _normalize_quat_rows,
+    lane_minor_derivative_factory,
+)
+from ...dynamics.state import quat_rotate_inverse_batched, quat_to_euler_batched
 
 __all__ = ["BatchPlant"]
 
@@ -67,13 +79,19 @@ class BatchPlant:
         self._k_thrust = motor.thrust_coefficient
         self._k_torque = motor.torque_coefficient
         geometry = self.params.geometry
-        self._rotor_positions = geometry._position_tuples
-        self._spins = geometry.spin_directions
+        positions = geometry._position_tuples
+        # Per-rotor mixer coefficients, one column per rotor row: the roll
+        # and pitch arms multiply -thrust, the spin signs multiply the
+        # reaction torque.  The pitch term -(x * -thrust) is (-x) * -thrust.
+        self._arm_coeffs = np.array(
+            [[p[1] for p in positions], [-p[0] for p in positions]]
+        )[:, :, None]
+        self._spin_coeffs = np.array(geometry.spin_directions, dtype=float)[:, None]
         self._tilt_limit = self.params.crash_tilt_limit
         self._impact_speed = self.params.crash_impact_speed
         self._gravity = self.environment.gravity_vector()
         self._wind = np.asarray(self.environment.wind.velocity_ned, dtype=float)
-        self._make_derivative = batched_derivative_factory(self.params, self.environment)
+        self._make_derivative = lane_minor_derivative_factory(self.params, self.environment)
 
     def arm(self) -> None:
         """Arm every lane: idle the rotors and accept throttle."""
@@ -132,42 +150,35 @@ class BatchPlant:
             self.time += dt
             return
 
-        throttle = np.clip(commands[idx], 0.0, 1.0)
-        armed = self.armed[idx]
+        # Rotor rows: (4, n), one column per stepped lane.
+        throttle = np.clip(commands[idx].T, 0.0, 1.0)
         target = np.where(
-            armed[:, None],
+            self.armed[idx],
             self._min_speed + throttle * (self._max_speed - self._min_speed),
             0.0,
         )
-        speed = self.motor_speed[idx]
+        speed = self.motor_speed[idx].T
         alpha = dt / (self._time_constant + dt)
         speed = speed + alpha * (target - speed)
-        self.motor_speed[idx] = speed
+        self.motor_speed[idx] = speed.T
 
-        thrust = self._k_thrust * speed**2
-        reaction = self._k_torque * speed**2
-        # Mixer with the scalar accumulation order: left-fold over rotors.
-        positions = self._rotor_positions
-        spins = self._spins
-        force_body = np.zeros((idx.size, 3))
-        force_body[:, 2] = -(
-            ((thrust[:, 0] + thrust[:, 1]) + thrust[:, 2]) + thrust[:, 3]
-        )
-        torque_x = positions[0][1] * -thrust[:, 0]
-        torque_y = -(positions[0][0] * -thrust[:, 0])
-        torque_z = spins[0] * reaction[:, 0]
-        for rotor in range(1, 4):
-            torque_x = torque_x + positions[rotor][1] * -thrust[:, rotor]
-            torque_y = torque_y + -(positions[rotor][0] * -thrust[:, rotor])
-            torque_z = torque_z + spins[rotor] * reaction[:, rotor]
-        torque_body = np.stack([torque_x, torque_y, torque_z], axis=-1)
+        # Mixer with the scalar accumulation order: a left fold over rotors
+        # of the rows (thrust, roll torque, pitch torque, yaw torque).
+        squared = speed**2
+        terms = np.empty((4, 4, idx.size))
+        np.multiply(self._k_thrust, squared, out=terms[0])
+        np.multiply(self._arm_coeffs, -terms[0], out=terms[1:3])
+        np.multiply(self._spin_coeffs, self._k_torque * squared, out=terms[3])
+        wrench = ((terms[:, 0] + terms[:, 1]) + terms[:, 2]) + terms[:, 3]
+        force_body = np.zeros((3, idx.size))
+        np.negative(wrench[0], out=force_body[2])
 
-        f = self._make_derivative(force_body, torque_body)
-        y_next = rk4_step(f, self.time, self.y[idx], dt)
+        f = self._make_derivative(force_body, wrench[1:4])
+        rows = rk4_step(f, self.time, self.y[idx].T.copy(), dt)
         # from_vector normalises, then the scalar step normalises explicitly.
-        quat = quat_normalize_batched(quat_normalize_batched(y_next[:, 6:10]))
-        y_next[:, 6:10] = quat
-        roll, pitch, _yaw = quat_to_euler_batched(quat)
+        rows[6:10] = _normalize_quat_rows(_normalize_quat_rows(rows[6:10]))
+        y_next = rows.T
+        roll, pitch, _yaw = quat_to_euler_batched(y_next[:, 6:10])
         tilt = np.maximum(np.abs(roll), np.abs(pitch))
 
         # Ground contact: crash_time is the *pre-increment* time here.

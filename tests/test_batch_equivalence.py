@@ -18,6 +18,9 @@ Two different equivalence notions apply:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +29,13 @@ from repro.campaign.backends import BatchBackend, get_backend
 from repro.campaign.grid import ScenarioGrid
 from repro.campaign.runner import run_campaign
 from repro.dynamics.environment import Environment
-from repro.dynamics.quadrotor import Quadrotor, QuadrotorParameters
+from repro.dynamics.quadrotor import (
+    Quadrotor,
+    QuadrotorParameters,
+    _normalize_quat_rows,
+    lane_minor_derivative_factory,
+)
+from repro.dynamics.state import quat_normalize_batched
 from repro.sim.batch import run_batch, timing_fingerprint
 from repro.sim.batch.physics import BatchPlant
 from repro.sim.flight import run_scenario
@@ -68,6 +77,83 @@ def _short_figures() -> list[FlightScenario]:
         FlightScenario.figure6(kill_time=1.0, duration=3.0),
         FlightScenario.figure7(attack_start=1.0, duration=3.0),
     ]
+
+
+def _golden_scenarios() -> list[FlightScenario]:
+    """A short mixed batch: two MemGuard budgets, a kill, a flood, a crash."""
+    fig5 = FlightScenario.figure5(attack_start=1.0, duration=3.0)
+    fig6 = FlightScenario.figure6(kill_time=2.0, duration=3.0)
+    unmonitored_kill = FlightScenario.figure6(kill_time=1.0, duration=3.0)
+    return [
+        fig5.with_config(fig5.config.with_memguard_budget(1500)).with_name("g-fig5-1500"),
+        fig5.with_config(fig5.config.with_memguard_budget(3000)).with_name("g-fig5-3000"),
+        fig6.with_name("g-fig6-kill"),
+        FlightScenario.figure7(attack_start=2.0, duration=3.0).with_name("g-fig7-flood"),
+        unmonitored_kill.with_config(
+            unmonitored_kill.config.without_monitor()
+        ).with_name("g-fig6-crash"),
+    ]
+
+
+def _batch_digest(results) -> str:
+    """sha256 over recorded positions, velocities, Euler angles and verdicts."""
+    digest = hashlib.sha256()
+    for result in results:
+        recorder = result.recorder
+        velocities = np.array([sample.velocity for sample in recorder.samples])
+        for array in (recorder.positions(), velocities, recorder.attitudes()):
+            digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        verdict = [
+            result.crashed,
+            result.crash_time,
+            result.switch_time,
+            [(violation.rule, violation.time) for violation in result.violations],
+        ]
+        digest.update(json.dumps(verdict).encode())
+    return digest.hexdigest()
+
+
+def _transcendental_fingerprint() -> str:
+    """sha256 of the libm/numpy transcendental kernels the flights call.
+
+    A trajectory digest is only comparable between hosts whose sin, cos,
+    arctan2, arcsin, exp, log and normal sampler return the same bits.
+    """
+    rng = np.random.default_rng(2019)
+    x = rng.uniform(-4.0, 4.0, 1024)
+    u = rng.uniform(-1.0, 1.0, 1024)
+    digest = hashlib.sha256()
+    for array in (
+        np.sin(x), np.cos(x), np.arctan2(x, u), np.arcsin(u), np.exp(x),
+        np.log(np.abs(x)), np.sqrt(np.abs(x)), rng.normal(size=64),
+    ):
+        digest.update(array.tobytes())
+    scalars = [
+        (math.sin(v), math.cos(v), math.atan2(v, w), math.asin(w))
+        for v, w in zip(x[:64].tolist(), u[:64].tolist())
+    ]
+    digest.update(repr(scalars).encode())
+    return digest.hexdigest()
+
+
+#: sha256 of the golden batch's trajectories and verdicts.  Any change to the
+#: batch plane's arithmetic or its operation order changes it; a refactor
+#: that keeps it is bit-identical.
+GOLDEN_BATCH_DIGEST = "eafce01aca4b8f9f627d4de00f89379d0a224c0ba09e4ce013960770796d1411"
+#: Transcendental fingerprint of the host the digest was recorded on.
+GOLDEN_MATH_FINGERPRINT = "a6be0ce48284a0560f26348d31ada4712168088dbff032c0434542062efe5005"
+
+
+class TestGoldenBatchDigest:
+    def test_mixed_batch_matches_recorded_bits(self):
+        if _transcendental_fingerprint() != GOLDEN_MATH_FINGERPRINT:
+            pytest.skip(
+                "this host's transcendental kernels return different bits "
+                "from the recording host, so trajectory digests differ"
+            )
+        results = run_batch(_golden_scenarios())
+        assert [r.crashed for r in results] == [False, False, False, False, True]
+        assert _batch_digest(results) == GOLDEN_BATCH_DIGEST
 
 
 class TestFigureEquivalence:
@@ -265,6 +351,99 @@ class TestBatchPlant:
             batch.step(commands, 0.004, mask)
         assert np.array_equal(batch.y[0], frozen)
         assert not batch.crashed[1]
+
+
+def _random_states(rng: np.random.Generator, lanes: int) -> np.ndarray:
+    """``(lanes, 13)`` airborne states with random unit quaternions."""
+    y = np.zeros((lanes, 13))
+    y[:, 0:2] = rng.uniform(-1.0, 1.0, (lanes, 2))
+    y[:, 2] = rng.uniform(-3.0, -1.0, lanes)
+    y[:, 3:6] = rng.normal(0.0, 0.5, (lanes, 3))
+    quat = rng.normal(size=(lanes, 4))
+    y[:, 6:10] = quat / np.linalg.norm(quat, axis=1, keepdims=True)
+    y[:, 10:13] = rng.normal(0.0, 0.5, (lanes, 3))
+    return y
+
+
+class TestLaneMinorKernel:
+    """Edge cases of the ``(13, n)`` derivative kernel and the plant step."""
+
+    @staticmethod
+    def _derivative(y_rows: np.ndarray, lanes=slice(None)) -> np.ndarray:
+        """Derivative of ``y_rows`` under a fixed 3-lane wrench (``lanes`` of it)."""
+        rng = np.random.default_rng(3)
+        force = np.zeros((3, 3))
+        force[2] = -rng.uniform(5.0, 15.0, 3)
+        torque = rng.normal(0.0, 0.05, (3, 3))
+        make = lane_minor_derivative_factory(QuadrotorParameters(), Environment())
+        return make(
+            np.ascontiguousarray(force[:, lanes]), np.ascontiguousarray(torque[:, lanes])
+        )(0.0, y_rows)
+
+    def test_row_normalisation_matches_lane_major(self):
+        quat = np.random.default_rng(5).normal(size=(6, 4))
+        quat[1] = 0.0
+        quat[4] = np.nan
+        rows = _normalize_quat_rows(np.ascontiguousarray(quat.T))
+        assert rows.T.tobytes() == quat_normalize_batched(quat).tobytes()
+
+    def test_zero_quaternion_lane_maps_to_identity(self):
+        y = _random_states(np.random.default_rng(11), 3).T.copy()
+        y[6:10, 1] = 0.0
+        identity = y.copy()
+        identity[6:10, 1] = [1.0, 0.0, 0.0, 0.0]
+        got = self._derivative(y)
+        want = self._derivative(identity)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == want.tobytes()
+
+    def test_nan_lane_does_not_trip_degenerate_path(self):
+        y = _random_states(np.random.default_rng(12), 3).T.copy()
+        y[6:10, 2] = np.nan
+        got = self._derivative(y)
+        # A NaN quaternion is not "degenerate": it stays NaN instead of
+        # snapping to the identity, and it never leaks into other lanes.
+        assert np.all(np.isnan(got[6:10, 2]))
+        clean = self._derivative(np.ascontiguousarray(y[:, :2]), lanes=slice(0, 2))
+        assert np.ascontiguousarray(got[:, :2]).tobytes() == clean.tobytes()
+
+    def test_nan_lane_in_plant_stays_isolated(self):
+        rng = np.random.default_rng(13)
+        states = _random_states(rng, 3)
+        states[1, 6:10] = np.nan
+        wide = BatchPlant(states[:, 0:3])
+        wide.y[:] = states
+        wide.arm()
+        alone = BatchPlant(states[[0, 2], 0:3])
+        alone.y[:] = states[[0, 2]]
+        alone.arm()
+        for _ in range(20):
+            commands = rng.uniform(0.55, 0.75, (3, 4))
+            wide.step(commands, 0.002, np.ones(3, dtype=bool))
+            alone.step(commands[[0, 2]], 0.002, np.ones(2, dtype=bool))
+        assert np.all(np.isnan(wide.y[1, 6:10]))
+        assert wide.y[[0, 2]].tobytes() == alone.y.tobytes()
+
+    @pytest.mark.parametrize("width", [1, 7, 24])
+    def test_each_lane_matches_its_solo_flight(self, width):
+        rng = np.random.default_rng(100 + width)
+        states = _random_states(rng, width)
+        commands = rng.uniform(0.5, 0.8, (60, width, 4))
+        masks = rng.random((60, width)) > 0.1
+        wide = BatchPlant(states[:, 0:3])
+        wide.y[:] = states
+        wide.arm()
+        for k in range(60):
+            wide.step(commands[k], 0.002, masks[k])
+        for lane in range(width):
+            alone = BatchPlant(states[lane : lane + 1, 0:3])
+            alone.y[:] = states[lane]
+            alone.arm()
+            for k in range(60):
+                alone.step(commands[k, lane : lane + 1], 0.002, masks[k, lane : lane + 1])
+            assert alone.y.tobytes() == wide.y[lane : lane + 1].tobytes()
+            assert alone.motor_speed.tobytes() == wide.motor_speed[lane : lane + 1].tobytes()
+            assert bool(alone.crashed[0]) == bool(wide.crashed[lane])
 
 
 class TestBatchBackend:

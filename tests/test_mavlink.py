@@ -133,6 +133,27 @@ class TestCodec:
         assert crc16(b"") == 0xFFFF
         assert crc16(b"hello") != crc16(b"hellp")
 
+    def test_crc16_ccitt_false_check_value(self):
+        # The catalogued check value of CRC-16/CCITT-FALSE.
+        assert crc16(b"123456789") == 0x29B1
+
+    @pytest.mark.parametrize("seed", [0xFFFF, 0x0000, 0x1234])
+    def test_crc16_matches_bitwise_reference(self, seed):
+        def reference(data: bytes, crc: int) -> int:
+            for byte in data:
+                crc ^= byte << 8
+                for _ in range(8):
+                    if crc & 0x8000:
+                        crc = ((crc << 1) ^ 0x1021) & 0xFFFF
+                    else:
+                        crc = (crc << 1) & 0xFFFF
+            return crc
+
+        rng = np.random.default_rng(seed)
+        for length in range(301):
+            data = rng.integers(0, 256, size=length, dtype=np.uint8).tobytes()
+            assert crc16(data, seed) == reference(data, seed)
+
     @given(st.binary(min_size=0, max_size=128))
     @settings(max_examples=100, deadline=None)
     def test_decoder_never_crashes_on_garbage(self, data):
