@@ -11,7 +11,7 @@ Usage::
     python examples/campaign_sweep.py [--duration SECONDS] [--seeds N]
         [--budgets B1,B2,...] [--attack-starts T1,T2,...] [--serial]
         [--backend serial|process-pool|distributed|service] [--workers N]
-        [--transport file|socket|http] [--port PORT] [--auth-token TOKEN]
+        [--transport file|http] [--port PORT] [--auth-token TOKEN]
         [--connect-http URL] [--max-workers N] [--store DIR]
         [--record-arrays] [--csv PATH] [--json PATH]
 
@@ -59,18 +59,18 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=2,
                         help="worker processes for --backend distributed "
                              "(default: 2)")
-    parser.add_argument("--transport", choices=("file", "socket", "http"),
+    parser.add_argument("--transport", choices=("file", "http"),
                         default="file",
                         help="work-queue transport for --backend distributed: "
-                             "a shared directory, the coordinator's TCP "
-                             "server, or its HTTP server (default: file)")
+                             "a shared directory or the coordinator's HTTP "
+                             "server (default: file)")
     parser.add_argument("--port", type=int, default=None,
-                        help="fixed coordinator port for the socket/http "
-                             "transports (lets an external probe scrape "
-                             "GET /metrics and GET /status mid-campaign)")
+                        help="fixed coordinator port for the http transport "
+                             "(lets an external probe scrape GET /metrics "
+                             "and GET /status mid-campaign)")
     parser.add_argument("--auth-token", default=None,
-                        help="shared-secret token for the socket/http "
-                             "transports or the service backend (default: "
+                        help="shared-secret token for the http transport or "
+                             "the service backend (default: "
                              "$REPRO_CAMPAIGN_AUTH_TOKEN)")
     parser.add_argument("--connect-http", default=None, metavar="URL",
                         help="campaign-service base URL for --backend "
@@ -96,8 +96,8 @@ def main() -> None:
         parser.error("--auth-token requires --backend distributed or service")
     if args.port is not None and (args.backend != "distributed"
                                   or args.transport == "file"):
-        parser.error("--port requires --backend distributed with a "
-                     "socket or http transport")
+        parser.error("--port requires --backend distributed with the "
+                     "http transport")
     if (args.connect_http is None) != (args.backend != "service"):
         parser.error("--backend service and --connect-http URL go together")
 

@@ -30,8 +30,7 @@ from .backends import (
 from .grid import AxisApplier, GridVariant, ScenarioGrid, register_axis, resolve_applier
 from .results import CampaignCell, CampaignResult, VariantOutcome
 from .runner import CampaignRunner, run_campaign, trajectory_arrays
-from .transport import SocketWorkQueue, SocketWorkQueueClient
-from .transport_http import HttpWorkQueue, HttpWorkQueueClient
+from .transport import HttpWorkQueue, HttpWorkQueueClient
 from .workqueue import (
     PROTOCOL_VERSION,
     FileWorkQueue,
@@ -60,8 +59,6 @@ __all__ = [
     "ScenarioGrid",
     "SerialBackend",
     "ServiceBackend",
-    "SocketWorkQueue",
-    "SocketWorkQueueClient",
     "VariantOutcome",
     "WorkQueue",
     "WorkQueueAuthError",

@@ -51,6 +51,7 @@ __all__ = [
     "DistributedBackend",
     "ServiceBackend",
     "get_backend",
+    "reap_workers",
     "spawn_worker",
 ]
 
@@ -96,6 +97,26 @@ def spawn_worker(
         ],
         env=env,
     )
+
+
+def reap_workers(processes: Sequence[subprocess.Popen], grace: float) -> None:
+    """Wait for spawned workers to exit, escalating on stragglers.
+
+    All of ``processes`` share one ``grace``-second deadline to exit on
+    their own (after the stop sentinel); a worker still running then is
+    terminated, and killed if it ignores that for another 2 s.
+    """
+    deadline = time.time() + grace
+    for proc in processes:
+        try:
+            proc.wait(timeout=max(0.0, deadline - time.time()))
+        except subprocess.TimeoutExpired:
+            proc.terminate()
+            try:
+                proc.wait(timeout=2.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
 
 @runtime_checkable
@@ -275,19 +296,14 @@ class DistributedBackend:
       workers may attach from anywhere that shares it (other shells,
       containers, machines on a network filesystem) — pass ``queue_dir`` and
       ``workers=0`` to bring your own fleet.
-    * ``transport="socket"`` — a coordinator-hosted
-      :class:`~repro.campaign.transport.SocketWorkQueue` TCP server (JSON
-      lines, see :mod:`repro.campaign.transport`); workers attach with
-      ``--connect host:port`` from any host that can reach the port, no
-      shared filesystem required.
     * ``transport="http"`` — a coordinator-hosted
-      :class:`~repro.campaign.transport_http.HttpWorkQueue` HTTP/JSON
-      server (one POST per queue operation, see
-      :mod:`repro.campaign.transport_http`); workers attach with
-      ``--connect-http URL`` through any reverse proxy or load balancer
-      that can forward a POST.
+      :class:`~repro.campaign.transport.HttpWorkQueue` HTTP/JSON server
+      (one POST per queue operation, see :mod:`repro.campaign.transport`);
+      workers attach with ``--connect-http URL`` from any host that can
+      reach it, directly or through any reverse proxy or load balancer
+      that can forward a POST — no shared filesystem required.
 
-    Authentication: both network transports accept a shared-secret
+    Authentication: the HTTP transport accepts a shared-secret
     ``auth_token`` (explicit, or from ``$REPRO_CAMPAIGN_AUTH_TOKEN``);
     workers must present it on every request or are rejected with a
     distinct error.  The coordinator hands the token to spawned workers
@@ -327,13 +343,13 @@ class DistributedBackend:
     poll_interval:
         Coordinator/worker polling period [s].
     transport:
-        ``"file"``, ``"socket"`` or ``"http"``.
+        ``"file"`` or ``"http"``.
     host / port:
-        Network transports only: server bind address.  ``port=0`` picks an
+        HTTP transport only: server bind address.  ``port=0`` picks an
         ephemeral port (fine for spawned workers, who are told the real
         port; an external fleet needs a fixed one).
     auth_token:
-        Network transports only: shared secret workers must present on
+        HTTP transport only: shared secret workers must present on
         every request; ``None`` falls back to ``$REPRO_CAMPAIGN_AUTH_TOKEN``
         (unset = authentication disabled).  Rejected with the file
         transport, which has no authentication layer.
@@ -349,7 +365,7 @@ class DistributedBackend:
     transport: str = "file"
     host: str = "127.0.0.1"
     port: int = 0
-    #: Shared secret for the network transports; repr=False keeps it out of
+    #: Shared secret for the HTTP transport; repr=False keeps it out of
     #: dataclass reprs (and thereby logs, warnings and failure reports).
     auth_token: str | None = field(default=None, repr=False)
     max_workers: int | None = None
@@ -364,8 +380,7 @@ class DistributedBackend:
 
     name = "distributed"
 
-    _TRANSPORTS = ("file", "socket", "http")
-    _NETWORK_TRANSPORTS = ("socket", "http")
+    _TRANSPORTS = ("file", "http")
 
     def __post_init__(self) -> None:
         if self.workers < 0:
@@ -375,17 +390,14 @@ class DistributedBackend:
                 f"transport must be one of {self._TRANSPORTS}, "
                 f"got {self.transport!r}"
             )
-        if self.transport in self._NETWORK_TRANSPORTS and self.queue_dir is not None:
+        if self.transport == "http" and self.queue_dir is not None:
             raise ValueError(
-                "queue_dir applies to the file transport only; the "
-                f"{self.transport} transport shares nothing but the "
-                "coordinator's address"
+                "queue_dir applies to the file transport only; the http "
+                "transport shares nothing but the coordinator's address"
             )
         if self.transport == "file":
             if self.port != 0:
-                raise ValueError(
-                    "port applies to the network transports (socket/http) only"
-                )
+                raise ValueError("port applies to the http transport only")
             if self.auth_token is not None:
                 # Matches the orphan-backend_options policy: an option that
                 # cannot take effect is a loud error, never silently
@@ -393,9 +405,9 @@ class DistributedBackend:
                 # campaign must not be discarded by a transport that has
                 # no authentication layer.
                 raise ValueError(
-                    "auth_token applies to the network transports "
-                    "(socket/http) only; the file transport has no "
-                    "authentication — remove the token or switch transport"
+                    "auth_token applies to the http transport only; the "
+                    "file transport has no authentication — remove the "
+                    "token or switch transport"
                 )
         if self.auth_token is not None and not self.auth_token:
             raise ValueError("auth_token must be a non-empty string")
@@ -430,11 +442,11 @@ class DistributedBackend:
                     "workers=0 requires an explicit queue_dir for external "
                     "workers to attach to (or max_workers for autoscaling)"
                 )
-            if self.transport in self._NETWORK_TRANSPORTS and self.port == 0:
+            if self.transport == "http" and self.port == 0:
                 raise ValueError(
-                    f"workers=0 on the {self.transport} transport requires "
-                    "a fixed port for external workers to connect to (or "
-                    "max_workers for autoscaling)"
+                    "workers=0 on the http transport requires a fixed port "
+                    "for external workers to connect to (or max_workers "
+                    "for autoscaling)"
                 )
         if self.lease_timeout <= 0:
             raise ValueError("lease_timeout must be positive")
@@ -457,8 +469,8 @@ class DistributedBackend:
         # directory or port) answers under the old id and is ignored by
         # collect().
         run_id = f"r{uuid.uuid4().hex[:12]}"
-        if self.transport in self._NETWORK_TRANSPORTS:
-            yield from self._map_network(fn, items, on_complete, run_id)
+        if self.transport == "http":
+            yield from self._map_http(fn, items, on_complete, run_id)
         else:
             yield from self._map_file(fn, items, on_complete, run_id)
 
@@ -477,7 +489,7 @@ class DistributedBackend:
             warnings.warn(
                 "REPRO_CAMPAIGN_AUTH_TOKEN is set, but the file transport "
                 "has no authentication — the campaign runs unauthenticated "
-                "(use transport=\"socket\" or \"http\" for auth)",
+                "(use transport=\"http\" for auth)",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -506,37 +518,29 @@ class DistributedBackend:
             )
         finally:
             queue.request_stop()
-            self._reap(processes)
+            reap_workers(processes, max(1.0, 4 * self.poll_interval))
             self.queue_stats.update(queue.stats_snapshot())
             if owns_dir:
                 shutil.rmtree(root, ignore_errors=True)
 
-    def _map_network(
+    def _map_http(
         self,
         fn: Callable[[Any], Any],
         items: list[Any],
         on_complete: CompletionCallback | None,
         run_id: str,
     ) -> Iterator[Any]:
-        token = resolve_auth_token(self.auth_token)
-        if self.transport == "http":
-            from .transport_http import HttpWorkQueue as queue_class
-        else:
-            from .transport import SocketWorkQueue as queue_class
+        from .transport import HttpWorkQueue
 
-        queue = queue_class(
-            self.host, self.port, run_id=run_id, auth_token=token
+        queue = HttpWorkQueue(
+            self.host,
+            self.port,
+            run_id=run_id,
+            auth_token=resolve_auth_token(self.auth_token),
         )
         # Workers must *connect* to the address the server *bound*; a
-        # wildcard bind is reachable locally via loopback.
-        if self.transport == "http":
-            worker_args = ["--connect-http", queue.url]
-        else:
-            bound_host, bound_port = queue.address
-            connect_host = (
-                "127.0.0.1" if bound_host in ("", "0.0.0.0", "::") else bound_host
-            )
-            worker_args = ["--connect", f"{connect_host}:{bound_port}"]
+        # wildcard bind is reachable locally via loopback (queue.url).
+        worker_args = ["--connect-http", queue.url]
         processes: list[subprocess.Popen] = []
         try:
             for index, item in enumerate(items):
@@ -552,7 +556,7 @@ class DistributedBackend:
             # Reap *before* closing the server: spawned workers poll the
             # stop sentinel over the wire and exit cleanly while it still
             # answers.
-            self._reap(processes)
+            reap_workers(processes, max(1.0, 4 * self.poll_interval))
             self.queue_stats.update(queue.stats_snapshot())
             if self.port != 0:
                 # A fixed port means an external fleet may be attached, and
@@ -569,7 +573,7 @@ class DistributedBackend:
 
     def _spawn_worker(self, worker_args: list[str]) -> subprocess.Popen:
         token = None
-        if self.transport in self._NETWORK_TRANSPORTS:
+        if self.transport == "http":
             token = resolve_auth_token(self.auth_token)
         return spawn_worker(
             worker_args,
@@ -742,19 +746,6 @@ class DistributedBackend:
                     f"{total - len(seen)} of {total} items outstanding"
                 )
             time.sleep(self.poll_interval)
-
-    def _reap(self, processes: list[subprocess.Popen]) -> None:
-        deadline = time.time() + max(1.0, 4 * self.poll_interval)
-        for proc in processes:
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.time()))
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
 
 
 @dataclass(frozen=True)

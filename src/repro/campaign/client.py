@@ -34,8 +34,7 @@ import urllib.parse
 import urllib.request
 from typing import Any, Mapping, Sequence
 
-from .transport import _decode, _encode
-from .transport_http import parse_http_url
+from .transport import _decode, _encode, parse_http_url
 from .workqueue import (
     PROTOCOL_VERSION,
     WorkQueueAuthError,

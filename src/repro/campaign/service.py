@@ -4,7 +4,7 @@ Every earlier execution substrate dies with its campaign: the distributed
 coordinator (:class:`~repro.campaign.backends.DistributedBackend`) starts a
 queue server, runs one campaign, and tears everything down.  This module
 promotes that coordinator to a **long-lived daemon**: one
-:class:`~repro.campaign.transport_http.HttpWorkQueue` (in ``service`` mode)
+:class:`~repro.campaign.transport.HttpWorkQueue` (in ``service`` mode)
 hosts a registry of concurrent *runs* over the run-id-namespaced queue
 state, one attached worker fleet serves whichever runs have pending tasks,
 and "users" are HTTP clients that *submit* work instead of owning
@@ -32,8 +32,8 @@ Two kinds of run share the registry:
   --connect-http URL``): a *client-side* :class:`CampaignRunner` keeps its
   own store/policy and only rents the daemon's fleet for execution.
 
-Lifecycle separation is the point of the refactor underneath
-(:class:`~repro.campaign.transport.NetworkWorkQueue`): cancelling or
+Lifecycle separation is the point of the queue underneath
+(:class:`~repro.campaign.transport.HttpWorkQueue`): cancelling or
 draining one run never raises the transport stop sentinel, so the fleet
 keeps serving sibling runs; only daemon shutdown stops workers.
 
@@ -57,7 +57,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..obs import EventLog, configure_json_logging, emit, set_event_log
-from .transport_http import HttpWorkQueue
+from .backends import reap_workers, spawn_worker
+from .transport import HttpWorkQueue
 from .workqueue import resolve_auth_tokens, validate_run_id
 
 logger = logging.getLogger(__name__)
@@ -226,7 +227,7 @@ class CampaignService:
         event that sends the fleet home), reap workers, stop serving."""
         self._closing.set()
         self.queue.request_stop()
-        self._reap()
+        reap_workers(self._processes, max(2.0, 8 * self.poll_interval))
         self._housekeeper.join(timeout=5.0)
         self.queue.close()
 
@@ -485,8 +486,6 @@ class CampaignService:
         # path an external fleet uses, so local and remote workers are
         # indistinguishable to the queue.  spawn_worker handles PYTHONPATH
         # and passes the token via the environment (never argv).
-        from .backends import spawn_worker
-
         token = self.queue._auth_tokens[0] if self.queue._auth_tokens else None
         return spawn_worker(
             ["--connect-http", self.queue.url],
@@ -495,21 +494,6 @@ class CampaignService:
             lease_timeout=self.lease_timeout,
             poll_interval=self.poll_interval,
         )
-
-    def _reap(self) -> None:
-        import subprocess
-
-        deadline = time.time() + max(2.0, 8 * self.poll_interval)
-        for proc in self._processes:
-            try:
-                proc.wait(timeout=max(0.0, deadline - time.time()))
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
 
     def _housekeeping(self) -> None:
         period = self.lease_timeout / 4.0

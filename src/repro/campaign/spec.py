@@ -22,7 +22,7 @@ A spec file makes a campaign runnable without writing a script (see
 ``[runner]``
     Execution policy: ``mode``/``max_workers`` or an explicit ``backend``
     registry name plus ``backend_options`` — e.g. ``{workers = 2}``,
-    ``{transport = "socket"}``, ``{transport = "http", auth_token = "..."}``
+    ``{transport = "http", auth_token = "..."}``
     or ``{workers = 0, max_workers = 4}``
     (autoscaling) for the distributed backend, see
     ``docs/distributed.md`` — an optional ``store`` directory for cached

@@ -1,52 +1,76 @@
-"""JSON-lines-over-TCP work-queue transport for hosts that share no filesystem.
+"""HTTP/JSON work-queue transport for hosts that share no filesystem.
 
 The :class:`~repro.campaign.workqueue.FileWorkQueue` makes "distributed" mean
 "anything that shares a directory".  This module removes the shared-directory
-requirement: :class:`SocketWorkQueue` is a coordinator-hosted TCP server whose
+requirement: :class:`HttpWorkQueue` is a coordinator-hosted HTTP server whose
 in-memory state implements the same
 :class:`~repro.campaign.workqueue.WorkQueue` protocol, and
-:class:`SocketWorkQueueClient` is the worker side used by
-``python -m repro.campaign.worker --connect host:port``.
+:class:`HttpWorkQueueClient` is the worker side used by
+``python -m repro.campaign.worker --connect-http URL``.  Plain HTTP is what
+real heterogeneous fleets have: workers behind corporate proxies,
+coordinators behind reverse proxies or load balancers that speak nothing
+else.
 
-The queue state, request handling and worker-side client logic are
-transport-agnostic: :class:`NetworkWorkQueue` / :class:`NetworkWorkQueueClient`
-carry everything except the wire, and the HTTP transport
-(:mod:`repro.campaign.transport_http`) reuses them verbatim — parity between
-the network transports is inheritance, not duplication.
+Wire protocol: each queue operation is one ``POST`` to an endpoint named
+after it, with the message fields as a JSON body and the response as a JSON
+body.  Task payloads and results are pickled and base64-encoded inside the
+JSON (the same trust model as the file queue — only expose the endpoint,
+even proxied, to hosts you would also hand a pickle file to)::
 
-Wire protocol: one request per connection, one JSON object per line; task
-payloads and results are pickled and base64-encoded inside the JSON (the same
-trust model as the file queue — only run workers you would also hand a pickle
-file to).  Operations mirror the queue protocol::
+    POST <base>/claim      {"worker": "w123"}
+        -> 200 {"ok": true, "index": 3, "run": "r...", "payload": "<b64>",
+                "lease": "<token>"}
+        -> 200 {"ok": true, "index": null, "retire": false}  # nothing pending
+    POST <base>/heartbeat  {"lease": "<token>"}        -> 200 {"ok": true}
+    POST <base>/complete   {"index": 3, "run": "r...",
+                            "lease": "<token>", "result": "<b64>"}
+                                                       -> 200 {"ok": true}
+    POST <base>/stop       {}                          -> 200 {"ok": true, "stop": false}
+    POST <base>/retire     {}                          -> 200 {"ok": true, "retire": false}
+    POST <base>/ping       {}                          -> 200 {"ok": true, "protocol": 2,
+                                                              "mode": "campaign",
+                                                              "service": false}
+    GET  <base>/ping                                   -> 200 (the same ping body)
+    GET  <base>/metrics                                -> 200 Prometheus text
+    GET  <base>/status                                 -> 200 {"run": ..., "pending": ...}
 
-    {"op": "claim", "worker": "w123"}
-        -> {"ok": true, "index": 3, "run": "r...", "payload": "<b64>",
-            "lease": "<token>"}
-        -> {"ok": true, "index": null}           # nothing pending
-    {"op": "heartbeat", "lease": "<token>"}      -> {"ok": true}
-    {"op": "complete", "index": 3, "run": "r...",
-     "lease": "<token>", "result": "<b64>"}      -> {"ok": true}
-    {"op": "stop"}                               -> {"ok": true, "stop": false}
-    {"op": "retire"}                             -> {"ok": true, "retire": false}
-    {"op": "ping"}                               -> {"ok": true, "protocol": 2,
-                                                     "mode": "campaign",
-                                                     "service": false}
+When a :class:`~repro.campaign.service.CampaignService` is attached to the
+server (service mode), the run-registry API is routed here too::
+
+    POST   <base>/runs              {"spec": {...}} or {"tasks": [...]}
+    GET    <base>/runs              registry listing
+    GET    <base>/runs/<id>/status  one run's lifecycle + queue state
+    GET    <base>/runs/<id>/results one run's results (auth required)
+    DELETE <base>/runs/<id>         cancel the run
+    POST   <base>/rotate-token      {"new_token": "..."} (auth required)
+
+Every exchange is a single self-contained request/response — no streaming,
+no connection reuse required, no server push — so any reverse proxy, load
+balancer or tunnel that can forward a POST can sit in front of the
+coordinator.  ``--connect-http`` accepts a path prefix
+(``http://lb.example.com/campaign``) and ``https://`` URLs for fleets whose
+proxy terminates TLS.  The ``GET /ping`` endpoint doubles as a health check
+for load balancers.
 
 **Authentication** — a coordinator constructed with ``auth_token`` requires
-every request to carry a matching ``"token"`` field (compared in constant
-time via :func:`hmac.compare_digest`).  Unauthenticated requests are answered
-with the *distinct* response ``{"ok": false, "denied": "auth", ...}`` — never
-the generic degrade path — and the client raises
-:class:`~repro.campaign.workqueue.WorkQueueAuthError` so a misconfigured
-worker exits with a clear message instead of retry-looping.  The token never
-appears in logs, error messages or results.
+every queue request to carry a matching ``"token"`` field (compared in
+constant time via :func:`hmac.compare_digest`).  Unauthenticated requests
+are answered with ``401`` and the *distinct* body
+``{"ok": false, "denied": "auth", ...}`` — never the generic degrade path —
+and the client raises :class:`~repro.campaign.workqueue.WorkQueueAuthError`
+so a misconfigured worker exits with a clear message instead of
+retry-looping.  The run-registry endpoints that mutate state, and
+``/results``, take the token in the JSON body or (for bodyless GET/DELETE)
+the ``X-Auth-Token`` header; ``GET /runs``, per-run status and the other
+observability surfaces stay unauthenticated.  The token never appears in
+logs, error messages or results.
 
 Fault semantics match the file transport exactly:
 
 * **Heartbeat leases** — the server timestamps every heartbeat;
   ``reclaim_expired`` moves stale claims back into the pending set and the
-  task is re-issued.  A worker whose TCP connection dies mid-task simply
-  stops heartbeating — the disconnect *is* the missed heartbeat.
+  task is re-issued.  A worker whose connection dies mid-task simply stops
+  heartbeating — the disconnect *is* the missed heartbeat.
 * **Run namespacing** — ``complete`` messages carry the run id the task was
   claimed under; a server ignores results of other runs, so a worker of a
   killed previous campaign finishing late cannot smuggle its outcome into a
@@ -67,11 +91,13 @@ import hmac
 import json
 import logging
 import pickle
-import socket
-import socketserver
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 import uuid
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..obs import MetricsRegistry
@@ -85,25 +111,36 @@ from .workqueue import (
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "NetworkWorkQueue",
-    "NetworkWorkQueueClient",
-    "SocketWorkQueue",
-    "SocketWorkQueueClient",
-    "parse_address",
-]
+__all__ = ["HttpWorkQueue", "HttpWorkQueueClient", "parse_http_url"]
+
+#: Endpoints served (one per queue operation).
+_OPS = ("claim", "heartbeat", "complete", "stop", "retire", "ping")
 
 
-def parse_address(text: str) -> tuple[str, int]:
-    """Split ``host:port`` (IPv6 hosts may be bracketed: ``[::1]:9000``)."""
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address {text!r} must be host:port")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"address {text!r} has a non-numeric port") from None
-    return host.strip("[]"), port
+def parse_http_url(url: str) -> str:
+    """Validate a coordinator base URL; returns it without a trailing slash.
+
+    Accepts ``http://`` and ``https://`` (a TLS-terminating proxy in front
+    of the coordinator) and an optional path prefix (a reverse proxy
+    routing by path).
+    """
+    parsed = urllib.parse.urlsplit(url)
+    if parsed.scheme not in ("http", "https"):
+        raise ValueError(
+            f"coordinator URL {url!r} must start with http:// or https://"
+        )
+    if not parsed.netloc:
+        raise ValueError(f"coordinator URL {url!r} has no host")
+    if parsed.query or parsed.fragment:
+        # Operation paths are appended to the base URL, so a query/fragment
+        # would end up *inside* the per-op endpoint ("...?team=a/claim") and
+        # every request would 404 against the coordinator.
+        raise ValueError(
+            f"coordinator URL {url!r} must not contain a query string or "
+            "fragment: per-operation paths (/claim, /heartbeat, ...) are "
+            "appended to it"
+        )
+    return url.rstrip("/")
 
 
 def _encode(value: Any) -> str:
@@ -154,39 +191,169 @@ class _RunState:
         self.enqueued_total = 0
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised via the client
-        line = self.rfile.readline()
-        if not line:
+class _HttpHandler(BaseHTTPRequestHandler):
+    # Self-contained request/responses with explicit Content-Length; the
+    # connection closes after each exchange (single-request semantics).
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Silence the per-request stderr log: coordinators poll many times
+        a second, and request logs are where secrets go to leak."""
+
+    def _run_segments(self) -> list[str] | None:
+        """``["<id>", ...]`` after a ``/runs`` segment, ``[]`` for ``/runs``
+        itself, ``None`` when the path has no run-registry shape (or no
+        service is attached to answer it)."""
+        if getattr(self.server, "service", None) is None:
+            return None
+        path = urllib.parse.urlsplit(self.path).path
+        segments = [part for part in path.split("/") if part]
+        if "runs" not in segments:
+            return None
+        return segments[segments.index("runs") + 1:]
+
+    def _service_denied(self, request: dict[str, Any]) -> dict[str, Any] | None:
+        """Auth check for service endpoints: the token may arrive in the
+        JSON body or (for bodyless GET/DELETE) the ``X-Auth-Token`` header."""
+        if "token" not in request:
+            header = self.headers.get("X-Auth-Token")
+            if header:
+                request = {**request, "token": header}
+        return self.server.work_queue._check_auth(request)
+
+    def do_GET(self) -> None:  # pragma: no cover - exercised via the client
+        # Read-only observability surfaces.  Like /ping they are served
+        # without authentication: they expose queue *state* (depths, worker
+        # ids, lease ages — never lease tokens or payloads) so dashboards
+        # and CI probes can scrape an authenticated coordinator without a
+        # shared secret, and without bumping the auth-denial counter.
+        # The exception is /runs/<id>/results — results are tenant data.
+        tail = self._run_segments()
+        if tail is not None:
+            service = self.server.service
+            if not tail:
+                status, response = service.list_runs()
+            elif len(tail) == 2 and tail[1] == "status":
+                status, response = service.run_status(tail[0])
+            elif len(tail) == 2 and tail[1] == "results":
+                denied = self._service_denied({})
+                if denied is not None:
+                    self._reply(401, denied)
+                    return
+                status, response = service.run_results(tail[0])
+            else:
+                status, response = 404, {
+                    "ok": False,
+                    "error": "GET /runs, /runs/<id>/status or "
+                             "/runs/<id>/results",
+                }
+            self._reply(status, response)
             return
+        path = self.path.rstrip("/")
+        if path.endswith("/ping") or self.path in ("/", ""):
+            self._reply(200, self.server.work_queue.ping_info())
+        elif path.endswith("/metrics"):
+            self._reply_text(200, self.server.work_queue.metrics_text())
+        elif path.endswith("/status"):
+            self._reply(200, self.server.work_queue.status())
+        else:
+            self._reply(404, {"ok": False, "error": "POST to /<op>"})
+
+    def do_POST(self) -> None:  # pragma: no cover - exercised via the client
+        op = self.path.rstrip("/").rsplit("/", 1)[-1]
         try:
-            request = json.loads(line)
-            response = self.server.work_queue._handle(request)
+            length = int(self.headers.get("Content-Length") or 0)
+            body = self.rfile.read(length)
+            request = json.loads(body) if body else {}
+            if not isinstance(request, dict):
+                raise ValueError("request body must be a JSON object")
+            response = self._dispatch_post(op, request)
         except Exception as exc:
             response = {"ok": False, "error": repr(exc)}
+        if response.get("ok"):
+            status = 200
+        elif response.get("denied") == "auth":
+            status = 401  # distinct: proxies/metrics see auth failures as such
+        else:
+            status = getattr(self, "_service_status", 400)
+        self._reply(status, response)
+
+    def _dispatch_post(
+        self, op: str, request: dict[str, Any]
+    ) -> dict[str, Any]:
+        self._service_status = 400
+        service = getattr(self.server, "service", None)
+        if service is not None and op in ("runs", "rotate-token"):
+            denied = self._service_denied(request)
+            if denied is not None:
+                return denied
+            request.pop("token", None)  # never hand the secret downstream
+            if op == "runs":
+                self._service_status, response = service.submit(request)
+            else:
+                self._service_status, response = service.rotate_token(request)
+            return response
+        if op not in _OPS:
+            # An unknown endpoint must not dispatch with whatever "op"
+            # the body smuggled in.
+            return {"ok": False, "error": f"unknown endpoint {op!r}"}
+        request["op"] = op
+        return self.server.work_queue._handle(request)
+
+    def do_DELETE(self) -> None:  # pragma: no cover - exercised via the client
+        tail = self._run_segments()
+        if tail is None or len(tail) != 1:
+            self._reply(404, {"ok": False, "error": "DELETE /runs/<id>"})
+            return
+        denied = self._service_denied({})
+        if denied is not None:
+            self._reply(401, denied)
+            return
+        status, response = self.server.service.cancel(tail[0])
+        self._reply(status, response)
+
+    def _reply(self, status: int, response: dict[str, Any]) -> None:
+        self._send_blob(
+            status, "application/json", json.dumps(response).encode("ascii")
+        )
+
+    def _reply_text(self, status: int, text: str) -> None:
+        # The content type Prometheus scrapers expect for text exposition.
+        self._send_blob(
+            status, "text/plain; version=0.0.4", text.encode("utf-8")
+        )
+
+    def _send_blob(self, status: int, content_type: str, blob: bytes) -> None:
         try:
-            self.wfile.write((json.dumps(response) + "\n").encode("ascii"))
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(blob)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(blob)
         except OSError:
             pass  # client went away mid-response; its next poll retries
+        self.close_connection = True
 
 
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
+class _HttpServer(ThreadingHTTPServer):
     daemon_threads = True
-    work_queue: "NetworkWorkQueue"
+    work_queue: "HttpWorkQueue"
+    #: A CampaignService routes /runs requests here; None on plain
+    #: single-campaign coordinators (the endpoints then 404).
+    service: Any = None
 
 
-class NetworkWorkQueue:
-    """In-memory coordinator-side work queue served over a network transport.
+class HttpWorkQueue:
+    """Coordinator-hosted HTTP work queue (server side of the transport).
 
-    Everything except the wire lives here: the per-run pending/claimed/result
-    state, every :class:`~repro.campaign.workqueue.WorkQueue` method, the
-    request dispatcher (:meth:`_handle`) and the shared-secret check.
-    Subclasses only provide the server: :meth:`_make_server` returns a
-    started-ready ``socketserver`` instance whose handler feeds requests to
-    :meth:`_handle` (:class:`SocketWorkQueue` speaks JSON lines over raw
-    TCP, :class:`~repro.campaign.transport_http.HttpWorkQueue` speaks
-    HTTP/JSON).
+    Constructing the queue binds and starts the server — ``port=0`` picks
+    an ephemeral port, published via :attr:`address`/:attr:`url`.  The
+    object is a full :class:`~repro.campaign.workqueue.WorkQueue` for the
+    coordinator: it holds the per-run pending/claimed/result state, the
+    request dispatcher (:meth:`_handle`) and the shared-secret check, while
+    remote workers reach the worker-side half through
+    :class:`HttpWorkQueueClient` (directly or through any HTTP proxy).
 
     **Runs, not campaigns, are the unit of state.**  The queue hosts a
     registry of :class:`_RunState` — one per run id — and claims hand out
@@ -256,7 +423,7 @@ class NetworkWorkQueue:
         self._started = time.time()
         # Unlike the directory queue, every operation of every worker flows
         # through this server, so these counters are authoritative for the
-        # whole run — the HTTP transport serves them at ``GET /metrics``.
+        # whole run — served at ``GET /metrics``.
         self.metrics = MetricsRegistry()
         self._m_enqueued = self.metrics.counter(
             "repro_queue_enqueued_total", "Tasks enqueued on this coordinator.")
@@ -284,7 +451,7 @@ class NetworkWorkQueue:
             "repro_run_completions_total", "Results accepted, by run id.")
         self._g_run_pending = self.metrics.gauge(
             "repro_run_pending", "Tasks awaiting a claim, by run id.")
-        self._server = self._make_server(host, port)
+        self._server = _HttpServer((host, port), _HttpHandler)
         self._server.work_queue = self
         self._thread = threading.Thread(
             target=self._server.serve_forever,
@@ -294,9 +461,6 @@ class NetworkWorkQueue:
         )
         self._thread.start()
 
-    def _make_server(self, host: str, port: int) -> socketserver.BaseServer:
-        raise NotImplementedError  # pragma: no cover - subclass hook
-
     # -- lifecycle ---------------------------------------------------------------
 
     @property
@@ -305,6 +469,14 @@ class NetworkWorkQueue:
         host, port = self._server.server_address[:2]
         return host, port
 
+    @property
+    def url(self) -> str:
+        """Base URL workers on this host can reach the server under."""
+        host, port = self.address
+        if host in ("", "0.0.0.0", "::"):
+            host = "127.0.0.1"
+        return f"http://{host}:{port}"
+
     def close(self) -> None:
         """Stop serving.  Workers observe connection failures from here on
         and retire via their orphan timeout."""
@@ -312,7 +484,7 @@ class NetworkWorkQueue:
         self._server.server_close()
         self._thread.join(timeout=5.0)
 
-    def __enter__(self) -> "NetworkWorkQueue":
+    def __enter__(self) -> "HttpWorkQueue":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -539,9 +711,9 @@ class NetworkWorkQueue:
     # -- observability -----------------------------------------------------------
 
     def status(self) -> dict[str, Any]:
-        """Live queue state, JSON-ready (``GET /status`` on the HTTP
-        transport).  Leases are described — index, worker, heartbeat age —
-        but their tokens are capability handles and never leave the server.
+        """Live queue state, JSON-ready (``GET /status``).  Leases are
+        described — index, worker, heartbeat age — but their tokens are
+        capability handles and never leave the server.
         """
         now = time.time()
         with self._lock:
@@ -780,25 +952,17 @@ class NetworkWorkQueue:
         return {"ok": False, "error": f"unknown op {op!r}"}
 
 
-class SocketWorkQueue(NetworkWorkQueue):
-    """Coordinator-hosted TCP work queue (server side of the transport).
-
-    Constructing the queue binds and starts the server — ``port=0`` picks an
-    ephemeral port, published via :attr:`address`.  The object itself is a
-    full :class:`~repro.campaign.workqueue.WorkQueue`: the coordinator calls
-    the same ``enqueue``/``collect``/``reclaim_expired`` methods it would on
-    a :class:`~repro.campaign.workqueue.FileWorkQueue`, while remote workers
-    reach the worker-side half through :class:`SocketWorkQueueClient`.
-    """
-
-    def _make_server(self, host: str, port: int) -> socketserver.BaseServer:
-        return _Server((host, port), _Handler)
+def _is_loopback(host: str | None) -> bool:
+    if host is None:
+        return False
+    return host == "localhost" or host.startswith("127.") or host == "::1"
 
 
-class NetworkWorkQueueClient:
-    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over a wire.
+class HttpWorkQueueClient:
+    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over HTTP.
 
-    Every operation is one short-lived request, so a worker holds no state
+    Every operation is one short-lived POST against a coordinator (or proxy)
+    base URL, so a worker holds no state
     the coordinator could leak: a dropped connection mid-task only stops
     the heartbeat, and the lease expires like any other death.  A
     temporarily unreachable coordinator degrades instead of raising —
@@ -813,16 +977,30 @@ class NetworkWorkQueueClient:
     shared secret, so it raises
     :class:`~repro.campaign.workqueue.WorkQueueAuthError` for the worker to
     surface and exit on.
-
-    Subclasses provide :meth:`_send` — one message out, one parsed JSON
-    response back (``None`` on any transport failure).
     """
 
     def __init__(
-        self, timeout: float = 10.0, auth_token: str | None = None
+        self,
+        base_url: str,
+        timeout: float = 10.0,
+        auth_token: str | None = None,
     ) -> None:
         if auth_token is not None and not auth_token:
             raise ValueError("auth_token must be a non-empty string")
+        self._base_url = parse_http_url(base_url)
+        if _is_loopback(urllib.parse.urlsplit(self._base_url).hostname):
+            # A loopback coordinator (notably: the one that spawned this
+            # worker) must be reached directly — honouring an http_proxy
+            # environment variable would route 127.0.0.1 through a proxy
+            # that cannot reach it and silently hang the campaign as the
+            # failures degrade into idle polling.  Non-loopback URLs keep
+            # the default handlers, so workers behind forward proxies
+            # still traverse them.
+            self._opener = urllib.request.build_opener(
+                urllib.request.ProxyHandler({})
+            )
+        else:
+            self._opener = urllib.request.build_opener()
         self._timeout = timeout
         self._auth_token = auth_token
         self._last_contact = time.time()
@@ -832,9 +1010,6 @@ class NetworkWorkQueueClient:
         #: is unreachable, instead of hammering a restarting daemon with
         #: fixed-interval ticks from the whole fleet at once.
         self.consecutive_failures = 0
-
-    def _send(self, message: dict[str, Any]) -> dict[str, Any] | None:
-        raise NotImplementedError  # pragma: no cover - subclass hook
 
     # -- worker side -------------------------------------------------------------
 
@@ -959,10 +1134,35 @@ class NetworkWorkQueueClient:
     # -- internal ----------------------------------------------------------------
 
     def _request(self, message: dict[str, Any]) -> dict[str, Any] | None:
-        """One round trip: ``None`` on failure, raises on auth rejection."""
+        """One POST to the endpoint named by ``message["op"]``, the other
+        fields as the JSON body: the parsed response, ``None`` on failure;
+        raises on auth rejection."""
+        body = {key: value for key, value in message.items() if key != "op"}
         if self._auth_token is not None:
-            message = {**message, "token": self._auth_token}
-        response = self._send(message)
+            body["token"] = self._auth_token
+        request = urllib.request.Request(
+            f"{self._base_url}/{message['op']}",
+            data=json.dumps(body).encode("ascii"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            with self._opener.open(request, timeout=self._timeout) as reply:
+                raw = reply.read()
+        except urllib.error.HTTPError as exc:
+            # Non-2xx still carries the JSON response (e.g. 401 with
+            # denied: "auth"); an HTML error page from a proxy in front
+            # fails the JSON parse below and degrades like any outage.
+            try:
+                raw = exc.read()
+            except OSError:
+                raw = b""
+        except (OSError, ValueError):
+            raw = b""
+        try:
+            response = json.loads(raw) if raw else None
+        except ValueError:
+            response = None
         if not response:
             self.consecutive_failures += 1
             return None
@@ -980,30 +1180,3 @@ class NetworkWorkQueueClient:
             return None
         self._last_contact = time.time()
         return response
-
-
-class SocketWorkQueueClient(NetworkWorkQueueClient):
-    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over TCP:
-    one short-lived connection and one JSON line per operation."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        timeout: float = 10.0,
-        auth_token: str | None = None,
-    ) -> None:
-        super().__init__(timeout=timeout, auth_token=auth_token)
-        self._address = (host, port)
-
-    def _send(self, message: dict[str, Any]) -> dict[str, Any] | None:
-        try:
-            with socket.create_connection(
-                self._address, timeout=self._timeout
-            ) as connection:
-                connection.sendall((json.dumps(message) + "\n").encode("ascii"))
-                with connection.makefile("rb") as reader:
-                    line = reader.readline()
-            return json.loads(line) if line else None
-        except (OSError, ValueError):
-            return None

@@ -1,8 +1,7 @@
 """Campaign work-queue worker: ``python -m repro.campaign.worker QUEUE_DIR``
-(file transport), ``python -m repro.campaign.worker --connect host:port``
-(TCP transport) or ``python -m repro.campaign.worker --connect-http URL``
-(HTTP transport, for workers that reach the coordinator only through a
-proxy or load balancer).
+(file transport) or ``python -m repro.campaign.worker --connect-http URL``
+(HTTP transport, for workers on hosts that share no filesystem with the
+coordinator — directly or through a proxy or load balancer).
 
 One worker process drains one :class:`~repro.campaign.workqueue.WorkQueue`:
 claim a task, heartbeat the lease while executing it, publish the result,
@@ -10,7 +9,7 @@ repeat until the coordinator raises the stop sentinel.  Workers are
 stateless — any number may attach to the same queue (the
 :class:`~repro.campaign.backends.DistributedBackend` spawns local ones, but
 workers started by hand on any host sharing the directory — or able to
-reach the coordinator's TCP port — join the same campaign), and a worker
+reach the coordinator's HTTP endpoint — join the same campaign), and a worker
 killed mid-task loses nothing: its lease expires and the task is re-issued.
 An idle worker also exits when the coordinator grants it a *retire credit*
 (autoscaling scale-down) or when the coordinator has been unreachable/silent
@@ -19,14 +18,14 @@ backs off exponentially with jitter (capped) instead of fixed-interval
 ticks, so a large fleet does not synchronously hammer a restarting daemon;
 a worker whose coordinator speaks a different protocol version exits
 immediately with a clear message (see
-:meth:`~repro.campaign.transport.NetworkWorkQueueClient.check_protocol`).
+:meth:`~repro.campaign.transport.HttpWorkQueueClient.check_protocol`).
 
 Task payloads are ``(fn, item)`` pairs; results are ``("ok", fn(item))`` or
 ``("error", traceback_text)``.  ``fn`` must be importable on the worker
 (module-level or ``functools.partial`` of one) — the same constraint a
 process pool imposes.
 
-Coordinators on the network transports may require a shared-secret auth
+Coordinators on the HTTP transport may require a shared-secret auth
 token (``--auth-token``, or ``$REPRO_CAMPAIGN_AUTH_TOKEN`` — preferred,
 since the environment does not show up in process listings).  A worker
 whose token is missing or wrong is rejected with a distinct error and
@@ -64,7 +63,7 @@ def _idle_delay(
     """Sleep before the next idle poll tick.
 
     While the coordinator answers, this is the plain ``poll_interval``.
-    While it is *unreachable* (the network clients count
+    While it is *unreachable* (the HTTP client counts
     ``consecutive_failures``; queues without the attribute never back off),
     the delay doubles per failed round trip up to a cap, with jitter — so a
     large fleet behind a restarting daemon spreads its reconnect attempts
@@ -117,7 +116,6 @@ def run_worker(
     poll_interval: float = 0.05,
     max_tasks: int | None = None,
     orphan_timeout: float | None = None,
-    connect: str | None = None,
     connect_http: str | None = None,
     queue: WorkQueue | None = None,
     auth_token: str | None = None,
@@ -125,15 +123,14 @@ def run_worker(
     """Drain the queue until stop is requested; returns the tasks completed.
 
     The queue is given as exactly one of ``queue_dir`` (file transport),
-    ``connect="host:port"`` (TCP transport), ``connect_http="http://..."``
-    (HTTP transport) or ``queue`` (an explicit
+    ``connect_http="http://..."`` (HTTP transport) or ``queue`` (an explicit
     :class:`~repro.campaign.workqueue.WorkQueue`, mainly for tests).
 
     ``lease_timeout`` must match the coordinator's: the heartbeat refreshes
     the lease every quarter of it.  ``max_tasks`` bounds the number of tasks
     (``None`` = unbounded) — useful for tests and one-shot workers.
 
-    ``auth_token`` is the network transports' shared secret (``None`` falls
+    ``auth_token`` is the HTTP transport's shared secret (``None`` falls
     back to ``$REPRO_CAMPAIGN_AUTH_TOKEN``); a coordinator rejecting it
     raises :class:`~repro.campaign.workqueue.WorkQueueAuthError` out of this
     function immediately — never a retry loop.  The file transport has no
@@ -142,16 +139,15 @@ def run_worker(
     ``orphan_timeout`` (default ``4 * lease_timeout``) guards against an
     abandoned queue: a coordinator killed without cleanup never raises the
     stop sentinel, so an idle worker whose coordinator heartbeat is older
-    than this — for the network transports: whose coordinator has been
+    than this — for the HTTP transport: whose coordinator has been
     *unreachable* this long — exits on its own instead of polling forever.
     File queues that never announced a coordinator (manually driven) are
     exempt.
     """
-    sources = (queue_dir, connect, connect_http, queue)
+    sources = (queue_dir, connect_http, queue)
     if sum(source is not None for source in sources) != 1:
         raise ValueError(
-            "exactly one of queue_dir, connect, connect_http or queue "
-            "must be given"
+            "exactly one of queue_dir, connect_http or queue must be given"
         )
     if queue is not None and auth_token is not None:
         # Same loud-error policy as the file transport below: an explicit
@@ -162,15 +158,8 @@ def run_worker(
             "configure the token on the queue client itself"
         )
     if queue is None:
-        if connect is not None:
-            from .transport import SocketWorkQueueClient, parse_address
-
-            queue = SocketWorkQueueClient(
-                *parse_address(connect),
-                auth_token=resolve_auth_token(auth_token),
-            )
-        elif connect_http is not None:
-            from .transport_http import HttpWorkQueueClient
+        if connect_http is not None:
+            from .transport import HttpWorkQueueClient
 
             queue = HttpWorkQueueClient(
                 connect_http, auth_token=resolve_auth_token(auth_token)
@@ -178,9 +167,8 @@ def run_worker(
         else:
             if auth_token is not None:
                 raise ValueError(
-                    "auth_token applies to the network transports "
-                    "(connect/connect_http); the file queue has no "
-                    "authentication"
+                    "auth_token applies to the HTTP transport "
+                    "(connect_http); the file queue has no authentication"
                 )
             queue = FileWorkQueue(queue_dir)
     if worker_id is None:
@@ -235,21 +223,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign.worker",
         description="Attach one campaign worker to a work queue: a shared "
-        "directory (file transport), a coordinator's TCP server "
-        "(--connect), or its HTTP server (--connect-http).",
+        "directory (file transport) or a coordinator's HTTP server "
+        "(--connect-http).",
     )
     parser.add_argument("queue", nargs="?", default=None,
                         help="work-queue directory shared with the coordinator "
-                        "(omit when using --connect/--connect-http)")
-    parser.add_argument("--connect", default=None, metavar="HOST:PORT",
-                        help="connect to a coordinator's socket work queue "
-                        "instead of a shared directory")
+                        "(omit when using --connect-http)")
     parser.add_argument("--connect-http", default=None, metavar="URL",
                         help="connect to a coordinator's HTTP work queue "
                         "(http[s]://host:port[/prefix]; works through "
                         "reverse proxies and load balancers)")
     parser.add_argument("--auth-token", default=None, metavar="TOKEN",
-                        help="shared-secret token for the network transports "
+                        help="shared-secret token for the HTTP transport "
                         "(default: $REPRO_CAMPAIGN_AUTH_TOKEN; prefer the "
                         "environment — argv is visible in process listings)")
     parser.add_argument("--worker-id", default=None,
@@ -274,16 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    sources = (args.queue, args.connect, args.connect_http)
-    if sum(source is not None for source in sources) != 1:
-        parser.error(
-            "give exactly one of a queue directory, --connect or "
-            "--connect-http"
-        )
+    if (args.queue is None) == (args.connect_http is None):
+        parser.error("give exactly one of a queue directory or --connect-http")
     if args.auth_token is not None and args.queue is not None:
         parser.error(
-            "--auth-token applies to --connect/--connect-http; the file "
-            "queue has no authentication"
+            "--auth-token applies to --connect-http; the file queue has no "
+            "authentication"
         )
     if args.log_json:
         configure_json_logging()
@@ -302,7 +283,6 @@ def main(argv: list[str] | None = None) -> int:
             poll_interval=args.poll_interval,
             max_tasks=args.max_tasks,
             orphan_timeout=args.orphan_timeout,
-            connect=args.connect,
             connect_http=args.connect_http,
             auth_token=args.auth_token,
         )

@@ -29,11 +29,11 @@ rename makes the last write win cleanly.
 
 The claim/complete/heartbeat/stop semantics are transport-independent:
 :class:`WorkQueue` is the protocol both this directory transport and the
-TCP transport (:mod:`repro.campaign.transport`) implement, and everything
+HTTP transport (:mod:`repro.campaign.transport`) implement, and everything
 above the queue (the :class:`~repro.campaign.backends.DistributedBackend`
 coordinator loop, ``python -m repro.campaign.worker``) is written against
 it.  Lease handles are opaque to the worker: a :class:`~pathlib.Path` here,
-a token over TCP.
+a token over HTTP.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ __all__ = [
     "resolve_auth_tokens",
 ]
 
-#: Environment variable both network transports read the shared-secret
+#: Environment variable the HTTP transport reads the shared-secret
 #: auth token from when none is passed explicitly.  The environment is the
 #: preferred channel for worker processes: unlike a ``--auth-token``
 #: argument, it never shows up in process listings.
@@ -76,7 +76,7 @@ AUTH_TOKEN_ENV = "REPRO_CAMPAIGN_AUTH_TOKEN"
 #: that have not been re-keyed yet.  Workers only ever present one token.
 AUTH_TOKEN_PREVIOUS_ENV = "REPRO_CAMPAIGN_AUTH_TOKEN_PREVIOUS"
 
-#: Version of the wire protocol both network transports speak.  Served in
+#: Version of the wire protocol the HTTP transport speaks.  Served in
 #: every ``ping`` response so clients and workers can fail fast with a clear
 #: message on a daemon/client mismatch instead of hitting decoding errors
 #: mid-campaign.  Bump whenever a wire message or response changes shape.
@@ -90,7 +90,7 @@ PROTOCOL_VERSION = 2
 
 
 class WorkQueueAuthError(RuntimeError):
-    """A network coordinator rejected this worker's shared-secret token.
+    """An HTTP coordinator rejected this worker's shared-secret token.
 
     Deliberately *not* an :class:`OSError`: transient unreachability makes
     the transport clients degrade (claim -> ``None``) so workers survive
@@ -103,8 +103,8 @@ class WorkQueueAuthError(RuntimeError):
 class WorkQueueProtocolError(RuntimeError):
     """The coordinator speaks a different wire-protocol version.
 
-    Raised by the network clients' startup check (see
-    ``NetworkWorkQueueClient.check_protocol``) so a version-skewed worker or
+    Raised by the HTTP clients' startup check (see
+    ``HttpWorkQueueClient.check_protocol``) so a version-skewed worker or
     service client exits with one clear message instead of degrading into
     decoding errors or silent idle polling mid-campaign.  Like
     :class:`WorkQueueAuthError`, retrying can never fix it.
@@ -182,9 +182,9 @@ class WorkQueue(Protocol):
     stop sentinel; **workers** claim tasks, heartbeat their lease while
     executing, and publish results.  Implementations:
     :class:`FileWorkQueue` (shared directory) and
-    :class:`~repro.campaign.transport.SocketWorkQueue` /
-    :class:`~repro.campaign.transport.SocketWorkQueueClient` (JSON lines
-    over TCP).
+    :class:`~repro.campaign.transport.HttpWorkQueue` /
+    :class:`~repro.campaign.transport.HttpWorkQueueClient` (HTTP/JSON, one
+    POST per operation).
 
     Contract highlights every implementation must preserve:
 
@@ -270,7 +270,7 @@ class FileWorkQueue:
         ):
             directory.mkdir(parents=True, exist_ok=True)
         # Per-instance counters of what *this process* did to the queue —
-        # unlike the network transports (where every operation flows through
+        # unlike the HTTP transport (where every operation flows through
         # the coordinator's server), a directory queue is driven from many
         # processes, so a coordinator's instance counts enqueues/re-issues
         # and a worker's instance counts claims/completions.

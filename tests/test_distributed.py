@@ -667,11 +667,11 @@ class TestSpecOverrideMatrix:
 
     def test_spec_backend_options_select_transport(self):
         spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket",
+                           "backend_options": {"transport": "http",
                                                "workers": 2}}}
         runner = build_runner(spec)
         assert isinstance(runner.backend, DistributedBackend)
-        assert runner.backend.transport == "socket"
+        assert runner.backend.transport == "http"
         assert runner.backend.workers == 2
 
     def test_spec_transport_defaults_to_file(self):
@@ -684,9 +684,9 @@ class TestSpecOverrideMatrix:
         with pytest.raises(ValueError, match="transport"):
             build_runner(spec)
 
-    def test_spec_socket_transport_rejects_queue_dir(self, tmp_path):
+    def test_spec_http_transport_rejects_queue_dir(self, tmp_path):
         spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket",
+                           "backend_options": {"transport": "http",
                                                "queue_dir": str(tmp_path)}}}
         with pytest.raises(ValueError, match="queue_dir applies"):
             build_runner(spec)
@@ -701,9 +701,9 @@ class TestSpecOverrideMatrix:
 
     def test_cli_backend_override_keeps_matching_transport_options(self):
         spec = {"runner": {"backend": "distributed",
-                           "backend_options": {"transport": "socket"}}}
+                           "backend_options": {"transport": "http"}}}
         runner = build_runner(spec, backend="distributed")
-        assert runner.backend.transport == "socket"
+        assert runner.backend.transport == "http"
 
     def test_seed_coercion_is_constructor_path_consistent(self):
         # "seed": 3.0 used to reach the FlightScenario constructor as a

@@ -104,7 +104,7 @@ class TestConsoleBlocks:
         errors = []
         check_docs.ConsoleChecker().check(
             "$ python -m repro.campaign.worker /q --lease-timeout 30\n"
-            "$ python -m repro.campaign.worker --connect host:9100",
+            "$ python -m repro.campaign.worker --connect-http http://host:9100",
             "synthetic", errors,
         )
         assert errors == []
