@@ -532,8 +532,6 @@ class TestDistributedBackendHttpTransport:
             DistributedBackend(transport="file", port=9000)
         with pytest.raises(ValueError, match="fixed port"):
             DistributedBackend(transport="http", workers=0)
-        with pytest.raises(ValueError, match="non-empty"):
-            DistributedBackend(transport="http", auth_token="")
         with pytest.raises(ValueError, match="max_workers must be >= workers"):
             DistributedBackend(workers=4, max_workers=2)
         with pytest.raises(ValueError, match="max_workers must be at least 1"):
@@ -549,7 +547,6 @@ class TestDistributedBackendHttpTransport:
         DistributedBackend(transport="http", workers=0, port=18767)
         DistributedBackend(workers=0, max_workers=2)
         DistributedBackend(transport="http", workers=0, max_workers=2)
-        DistributedBackend(transport="http", auth_token="fine")
 
     def test_empty_items(self):
         backend = DistributedBackend(workers=1, transport="http")
@@ -662,6 +659,24 @@ class TestHttpSpecPlumbing:
         with pytest.raises(ValueError, match="auth_token applies"):
             build_runner(spec)
 
+    def test_spec_http_transport_rejects_queue_dir(self, tmp_path):
+        spec = {"runner": {"backend": "distributed",
+                           "backend_options": {"transport": "http",
+                                               "queue_dir": str(tmp_path)}}}
+        with pytest.raises(ValueError, match="queue_dir applies"):
+            build_runner(spec)
+
+    def test_validation_matrix(self, tmp_path):
+        with pytest.raises(ValueError, match="fixed port"):
+            DistributedBackend(transport="http", workers=0)
+        with pytest.raises(ValueError, match="fixed port"):
+            DistributedBackend(transport="http", max_workers=4, port=18766)
+        with pytest.raises(ValueError, match="non-empty"):
+            DistributedBackend(transport="http", auth_token="")
+        # Legal corners.
+        DistributedBackend(transport="http", workers=0, port=18767)
+        DistributedBackend(transport="http", workers=0, max_workers=2)
+        DistributedBackend(transport="http", auth_token="fine")
 
 
 class TestAutoscaling:
@@ -708,14 +723,14 @@ class TestAutoscaling:
             list(backend.map(_exit_hard, [1]))
 
 
-class TestRemovedSocketTransport:
+class TestDistributedBackendSocketTransport:
     """Asking for a ``socket`` transport (a JSON-lines TCP queue this
     package does not have) is a loud configuration error, on every entry
     point, that points at the HTTP transport."""
 
     REMOVED = "socket"
 
-    def test_backend_refuses_it(self):
+    def test_validation(self):
         with pytest.raises(ValueError, match="http"):
             DistributedBackend(transport=self.REMOVED)
 
