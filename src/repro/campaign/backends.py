@@ -31,15 +31,15 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Protocol, Sequence, runtime_checkable
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterator, Protocol, Sequence, runtime_checkable,
+)
 
 from ..obs import default_registry, emit
-from .workqueue import (
-    AUTH_TOKEN_ENV,
-    FileWorkQueue,
-    WorkQueue,
-    resolve_auth_token,
-)
+from .workqueue import AUTH_TOKEN_ENV, FileWorkQueue, resolve_auth_token
+
+if TYPE_CHECKING:
+    from .transport import HttpWorkQueue
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +50,7 @@ __all__ = [
     "ProcessPoolBackend",
     "DistributedBackend",
     "ServiceBackend",
+    "drain_in_order",
     "get_backend",
     "reap_workers",
     "spawn_worker",
@@ -117,6 +118,50 @@ def reap_workers(processes: Sequence[subprocess.Popen], grace: float) -> None:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait()
+
+
+def drain_in_order(
+    total: int,
+    collect: Callable[[set[int]], dict[int, Any]],
+    on_complete: CompletionCallback | None,
+    poll_interval: float,
+    tick: Callable[[int], None] | None = None,
+    source: str = "worker",
+) -> Iterator[Any]:
+    """Poll ``collect`` until all ``total`` results are in; yield them in
+    input order.
+
+    The coordinator loop every queue-backed backend shares.
+    ``collect(seen)`` returns the ``{index: (status, value)}`` results not
+    in ``seen``.  ``on_complete`` fires for each result the moment it is
+    collected (completion order); a non-``"ok"`` status raises
+    ``RuntimeError("<source> failed on item N: ...")``.  ``tick(done)``
+    is the caller's own per-poll work (housekeeping, liveness or
+    cancellation checks) and may raise to abort.  It runs *after* each
+    collect, so a result that arrived before the abort has already been
+    handed on, and it never runs once the last result is in.
+    """
+    seen: set[int] = set()
+    ready: dict[int, Any] = {}
+    next_index = 0
+    while True:
+        fresh = collect(seen)
+        for index in sorted(fresh):
+            status, value = fresh[index]
+            seen.add(index)
+            if status != "ok":
+                raise RuntimeError(f"{source} failed on item {index}:\n{value}")
+            ready[index] = value
+            if on_complete is not None:
+                on_complete(index, value)
+        while next_index in ready:
+            yield ready.pop(next_index)
+            next_index += 1
+        if next_index >= total:
+            return
+        if tick is not None:
+            tick(len(seen))
+        time.sleep(poll_interval)
 
 
 @runtime_checkable
@@ -286,10 +331,10 @@ class ProcessPoolBackend:
 class DistributedBackend:
     """Work-queue executor: a coordinator plus N worker *processes*.
 
-    The coordinator serialises every item into a
-    :class:`~repro.campaign.workqueue.WorkQueue`, spawns ``workers`` local
-    worker processes (``python -m repro.campaign.worker``), and polls for
-    results.  Two transports implement the queue protocol:
+    The coordinator serialises every item into a work queue, spawns
+    ``workers`` local worker processes (``python -m repro.campaign.worker``),
+    and polls for results (:func:`drain_in_order`).  Two transports
+    implement the queue:
 
     * ``transport="file"`` — a shared
       :class:`~repro.campaign.workqueue.FileWorkQueue` directory; additional
@@ -469,18 +514,57 @@ class DistributedBackend:
         # directory or port) answers under the old id and is ignored by
         # collect().
         run_id = f"r{uuid.uuid4().hex[:12]}"
-        if self.transport == "http":
-            yield from self._map_http(fn, items, on_complete, run_id)
-        else:
-            yield from self._map_file(fn, items, on_complete, run_id)
+        queue, worker_args, teardown = self._open_queue(run_id)
+        processes: list[subprocess.Popen] = []
+        try:
+            for index, item in enumerate(items):
+                queue.enqueue(index, (fn, item))
+            processes = [
+                self._spawn_worker(worker_args) for _ in range(self.workers)
+            ]
+            yield from self._drain(
+                queue, len(items), processes, on_complete, worker_args
+            )
+        finally:
+            queue.request_stop()
+            # Reap *before* the teardown closes an HTTP server: spawned
+            # workers poll the stop sentinel over the wire and exit cleanly
+            # while it still answers.
+            reap_workers(processes, max(1.0, 4 * self.poll_interval))
+            self.queue_stats.update(queue.stats_snapshot())
+            teardown()
 
-    def _map_file(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        on_complete: CompletionCallback | None,
-        run_id: str,
-    ) -> Iterator[Any]:
+    def _open_queue(
+        self, run_id: str
+    ) -> tuple[FileWorkQueue | HttpWorkQueue, list[str], Callable[[], None]]:
+        """This campaign's queue, the worker CLI arguments that attach to
+        it, and the teardown that releases it after the workers are reaped."""
+        if self.transport == "http":
+            from .transport import HttpWorkQueue
+
+            server = HttpWorkQueue(
+                self.host,
+                self.port,
+                run_id=run_id,
+                auth_token=resolve_auth_token(self.auth_token),
+            )
+
+            def close_server() -> None:
+                if self.port != 0:
+                    # A fixed port means an external fleet may be attached,
+                    # and the server is the only place it can observe the
+                    # stop sentinel (unlike a stop *file*, which persists).
+                    # Linger so idle workers poll it and exit now, not via
+                    # the much longer orphan timeout.  External workers
+                    # choose their own --poll, so the window is generous;
+                    # one polling slower than ~2 s still has the orphan
+                    # timeout as backstop.
+                    time.sleep(max(2.0, 4 * self.poll_interval))
+                server.close()
+
+            # Workers must *connect* to the address the server *bound*; a
+            # wildcard bind is reachable locally via loopback (server.url).
+            return server, ["--connect-http", server.url], close_server
         if resolve_auth_token(self.auth_token) is not None:
             # An explicit token was already rejected in __post_init__, so
             # this is the environment variable.  A globally exported secret
@@ -500,74 +584,17 @@ class DistributedBackend:
             else Path(self.queue_dir)
         )
         queue = FileWorkQueue(root, run_id=run_id)
-        worker_args = [str(root)]
-        processes: list[subprocess.Popen] = []
-        try:
-            # A queue directory hosts one campaign at a time: purge stale
-            # tasks/results/stop from a previous run of an explicit
-            # queue_dir before enqueueing, or old result files would be
-            # collected as this campaign's outcomes.
-            queue.reset()
-            for index, item in enumerate(items):
-                queue.enqueue(index, (fn, item))
-            processes = [
-                self._spawn_worker(worker_args) for _ in range(self.workers)
-            ]
-            yield from self._drain(
-                queue, len(items), processes, on_complete, worker_args
-            )
-        finally:
-            queue.request_stop()
-            reap_workers(processes, max(1.0, 4 * self.poll_interval))
-            self.queue_stats.update(queue.stats_snapshot())
+        # A queue directory hosts one campaign at a time: purge stale
+        # tasks/results/stop from a previous run of an explicit queue_dir
+        # before enqueueing, or old result files would be collected as this
+        # campaign's outcomes.
+        queue.reset()
+
+        def remove_dir() -> None:
             if owns_dir:
                 shutil.rmtree(root, ignore_errors=True)
 
-    def _map_http(
-        self,
-        fn: Callable[[Any], Any],
-        items: list[Any],
-        on_complete: CompletionCallback | None,
-        run_id: str,
-    ) -> Iterator[Any]:
-        from .transport import HttpWorkQueue
-
-        queue = HttpWorkQueue(
-            self.host,
-            self.port,
-            run_id=run_id,
-            auth_token=resolve_auth_token(self.auth_token),
-        )
-        # Workers must *connect* to the address the server *bound*; a
-        # wildcard bind is reachable locally via loopback (queue.url).
-        worker_args = ["--connect-http", queue.url]
-        processes: list[subprocess.Popen] = []
-        try:
-            for index, item in enumerate(items):
-                queue.enqueue(index, (fn, item))
-            processes = [
-                self._spawn_worker(worker_args) for _ in range(self.workers)
-            ]
-            yield from self._drain(
-                queue, len(items), processes, on_complete, worker_args
-            )
-        finally:
-            queue.request_stop()
-            # Reap *before* closing the server: spawned workers poll the
-            # stop sentinel over the wire and exit cleanly while it still
-            # answers.
-            reap_workers(processes, max(1.0, 4 * self.poll_interval))
-            self.queue_stats.update(queue.stats_snapshot())
-            if self.port != 0:
-                # A fixed port means an external fleet may be attached, and
-                # the server is the only place it can observe the stop
-                # sentinel (unlike a stop *file*, which persists).  Linger
-                # so idle workers poll it and exit now, not via the much
-                # longer orphan timeout.  External workers choose their own
-                # --poll, so the window is generous; one polling slower
-                # than ~2 s still has the orphan timeout as backstop.
-                time.sleep(max(2.0, 4 * self.poll_interval))
-            queue.close()
+        return queue, [str(root)], remove_dir
 
     # ------------------------------------------------------------------ internal --
 
@@ -606,7 +633,7 @@ class DistributedBackend:
 
     def _autoscale(
         self,
-        queue: WorkQueue,
+        queue: FileWorkQueue | HttpWorkQueue,
         processes: list[subprocess.Popen],
         outstanding: int,
         worker_args: list[str],
@@ -639,15 +666,12 @@ class DistributedBackend:
 
     def _drain(
         self,
-        queue: WorkQueue,
+        queue: FileWorkQueue | HttpWorkQueue,
         total: int,
         processes: list[subprocess.Popen],
         on_complete: CompletionCallback | None,
         worker_args: list[str],
     ) -> Iterator[Any]:
-        seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
         start = time.monotonic()
         # Everything is enqueued before the first drain tick, so the depth
         # here is the true high-water mark; housekeeping re-samples anyway
@@ -668,8 +692,11 @@ class DistributedBackend:
         # an all-dead fleet must make progress, or we are re-spawning
         # workers into the same fatal condition forever.
         dead_waves = 0
-        seen_at_last_wave = -1
-        while next_index < total:
+        done_at_last_wave = -1
+
+        def tick(done: int) -> None:
+            nonlocal last_housekeeping, last_autoscale, alive
+            nonlocal dead_waves, done_at_last_wave
             now = time.monotonic()
             if now - last_housekeeping >= housekeeping_period:
                 last_housekeeping = now
@@ -690,46 +717,30 @@ class DistributedBackend:
                     1 for proc in processes if proc.poll() is None
                 )
                 new_alive = self._autoscale(
-                    queue, processes, total - len(seen), worker_args,
+                    queue, processes, total - done, worker_args,
                     now - start, alive_now, alive,
                 )
                 was_dead = alive_now == 0
                 alive = new_alive
                 if was_dead and alive > 0:
-                    if len(seen) == seen_at_last_wave:
+                    if done == done_at_last_wave:
                         dead_waves += 1
                     else:
                         dead_waves = 1
-                        seen_at_last_wave = len(seen)
+                        done_at_last_wave = done
                     if dead_waves > 3:
                         emit(
                             "crash-loop", "campaign.backends",
                             waves=dead_waves,
-                            outstanding=total - len(seen),
+                            outstanding=total - done,
                             total=total,
                         )
                         raise RuntimeError(
                             "distributed autoscaler respawned an all-dead "
                             f"fleet {dead_waves} times without progress "
-                            f"({total - len(seen)} of {total} items "
+                            f"({total - done} of {total} items "
                             "outstanding)"
                         )
-            fresh = queue.collect(seen)
-            for index in sorted(fresh):
-                status, value = fresh[index]
-                seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"distributed worker failed on item {index}:\n{value}"
-                    )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= total:
-                return
             if (
                 self.max_workers is None
                 and processes
@@ -743,9 +754,13 @@ class DistributedBackend:
                 # the crash-loop counter above.)
                 raise RuntimeError(
                     f"all {len(processes)} distributed workers exited with "
-                    f"{total - len(seen)} of {total} items outstanding"
+                    f"{total - done} of {total} items outstanding"
                 )
-            time.sleep(self.poll_interval)
+
+        return drain_in_order(
+            total, queue.collect, on_complete, self.poll_interval, tick,
+            source="distributed worker",
+        )
 
 
 @dataclass(frozen=True)
@@ -822,49 +837,35 @@ class ServiceBackend:
             [(fn, item) for item in items],
             label=self.label or "service-backend",
         )
+        total = len(items)
+        state = "running"
+
+        def collect(seen: set[int]) -> dict[int, Any]:
+            nonlocal state
+            state, results = client.task_results(run_id)
+            return {
+                index: result
+                for index, result in results.items()
+                if index not in seen
+            }
+
+        def tick(done: int) -> None:
+            if state in ("cancelled", "failed"):
+                raise RuntimeError(
+                    f"service run {run_id} ended as {state} with "
+                    f"{total - done} of {total} items outstanding"
+                )
+
         try:
-            yield from self._drain(client, run_id, len(items), on_complete)
+            yield from drain_in_order(
+                total, collect, on_complete, self.poll_interval, tick,
+                source="service worker",
+            )
         finally:
             # Free the daemon-side queue state whether we finished, failed
             # over to serial, or were interrupted; the registry record
             # survives for post-mortem status queries.
             client.cancel(run_id, missing_ok=True)
-
-    def _drain(
-        self,
-        client: Any,
-        run_id: str,
-        total: int,
-        on_complete: CompletionCallback | None,
-    ) -> Iterator[Any]:
-        seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
-        while next_index < total:
-            state, results = client.task_results(run_id)
-            if state in ("cancelled", "failed"):
-                raise RuntimeError(
-                    f"service run {run_id} ended as {state} with "
-                    f"{total - len(seen)} of {total} items outstanding"
-                )
-            for index in sorted(results):
-                if index in seen:
-                    continue
-                status, value = results[index]
-                seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"service worker failed on item {index}:\n{value}"
-                    )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= total:
-                return
-            time.sleep(self.poll_interval)
 
 
 #: Registry of backend factories selectable by name (CLI / spec files).

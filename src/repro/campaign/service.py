@@ -4,11 +4,11 @@ Every earlier execution substrate dies with its campaign: the distributed
 coordinator (:class:`~repro.campaign.backends.DistributedBackend`) starts a
 queue server, runs one campaign, and tears everything down.  This module
 promotes that coordinator to a **long-lived daemon**: one
-:class:`~repro.campaign.transport.HttpWorkQueue` (in ``service`` mode)
-hosts a registry of concurrent *runs* over the run-id-namespaced queue
-state, one attached worker fleet serves whichever runs have pending tasks,
-and "users" are HTTP clients that *submit* work instead of owning
-coordinator processes::
+:class:`~repro.campaign.transport.HttpWorkQueue` (which reports ``service``
+mode once the daemon is attached to it) hosts a registry of concurrent
+*runs* over the run-id-namespaced queue state, one attached worker fleet
+serves whichever runs have pending tasks, and "users" are HTTP clients that
+*submit* work instead of owning coordinator processes::
 
     POST   <base>/runs              submit a run -> {"ok": true, "run": id}
     GET    <base>/runs              registry listing
@@ -46,6 +46,7 @@ and prefer ``$REPRO_CAMPAIGN_AUTH_TOKEN`` (plus
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import signal
@@ -57,7 +58,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..obs import EventLog, configure_json_logging, emit, set_event_log
-from .backends import reap_workers, spawn_worker
+from .backends import drain_in_order, reap_workers, spawn_worker
 from .transport import HttpWorkQueue
 from .workqueue import resolve_auth_tokens, validate_run_id
 
@@ -141,30 +142,26 @@ class _HostedQueueBackend:
         if not items:
             return
         for index, item in enumerate(items):
-            self._queue.enqueue_in(self._run_id, index, (fn, item))
-        seen: set[int] = set()
-        ready: dict[int, Any] = {}
-        next_index = 0
-        while next_index < len(items):
+            try:
+                self._queue.enqueue_in(self._run_id, index, (fn, item))
+            except ValueError:
+                # Cancelled before its tasks were all enqueued: unwind like
+                # a cancel mid-drain, never as a backend failure.
+                if self._queue.run_cancelled(self._run_id):
+                    raise RunCancelled(self._run_id) from None
+                raise
+
+        def tick(done: int) -> None:
             if self._queue.run_cancelled(self._run_id):
                 raise RunCancelled(self._run_id)
-            fresh = self._queue.collect_run(self._run_id, seen)
-            for index in sorted(fresh):
-                status, value = fresh[index]
-                seen.add(index)
-                if status != "ok":
-                    raise RuntimeError(
-                        f"worker failed on item {index}:\n{value}"
-                    )
-                ready[index] = value
-                if on_complete is not None:
-                    on_complete(index, value)
-            while next_index in ready:
-                yield ready.pop(next_index)
-                next_index += 1
-            if next_index >= len(items):
-                return
-            time.sleep(self._poll_interval)
+
+        yield from drain_in_order(
+            len(items),
+            functools.partial(self._queue.collect_run, self._run_id),
+            on_complete,
+            self._poll_interval,
+            tick,
+        )
 
 
 class CampaignService:
@@ -193,9 +190,7 @@ class CampaignService:
             raise ValueError("lease_timeout and poll_interval must be positive")
         self.lease_timeout = lease_timeout
         self.poll_interval = poll_interval
-        self.queue = HttpWorkQueue(
-            host, port, auth_token=auth_tokens, mode="service"
-        )
+        self.queue = HttpWorkQueue(host, port, auth_token=auth_tokens)
         self._store = None
         if store_dir is not None:
             from ..store import CampaignStore

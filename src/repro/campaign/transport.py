@@ -2,10 +2,9 @@
 
 The :class:`~repro.campaign.workqueue.FileWorkQueue` makes "distributed" mean
 "anything that shares a directory".  This module removes the shared-directory
-requirement: :class:`HttpWorkQueue` is a coordinator-hosted HTTP server whose
-in-memory state implements the same
-:class:`~repro.campaign.workqueue.WorkQueue` protocol, and
-:class:`HttpWorkQueueClient` is the worker side used by
+requirement: :class:`HttpWorkQueue` is a coordinator-hosted HTTP server that
+holds the queue state in memory, and :class:`HttpWorkQueueClient` is the
+worker half (:class:`~repro.campaign.workqueue.WorkQueue`) used by
 ``python -m repro.campaign.worker --connect-http URL``.  Plain HTTP is what
 real heterogeneous fleets have: workers behind corporate proxies,
 coordinators behind reverse proxies or load balancers that speak nothing
@@ -34,8 +33,10 @@ even proxied, to hosts you would also hand a pickle file to)::
     GET  <base>/metrics                                -> 200 Prometheus text
     GET  <base>/status                                 -> 200 {"run": ..., "pending": ...}
 
-When a :class:`~repro.campaign.service.CampaignService` is attached to the
-server (service mode), the run-registry API is routed here too::
+The ping/status ``mode`` is computed, not configured: ``"service"`` (and
+``"service": true``) when a :class:`~repro.campaign.service.CampaignService`
+is attached to the server, ``"campaign"`` otherwise.  With a service
+attached, the run-registry API is routed here too::
 
     POST   <base>/runs              {"spec": {...}} or {"tasks": [...]}
     GET    <base>/runs              registry listing
@@ -102,7 +103,6 @@ from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..obs import MetricsRegistry
 from .workqueue import (
-    _DEFAULT_RUN,
     PROTOCOL_VERSION,
     WorkQueueAuthError,
     WorkQueueProtocolError,
@@ -176,8 +176,8 @@ class _Claim:
 
 
 class _RunState:
-    """Queue state of one hosted run: the unit a service-mode coordinator
-    multiplies.  A single-campaign coordinator hosts exactly one."""
+    """Queue state of one hosted run: the unit a service daemon multiplies.
+    A single-campaign coordinator hosts exactly one."""
 
     __slots__ = ("run_id", "pending", "results", "cancelled", "created",
                  "enqueued_total")
@@ -349,11 +349,11 @@ class HttpWorkQueue:
 
     Constructing the queue binds and starts the server — ``port=0`` picks
     an ephemeral port, published via :attr:`address`/:attr:`url`.  The
-    object is a full :class:`~repro.campaign.workqueue.WorkQueue` for the
-    coordinator: it holds the per-run pending/claimed/result state, the
-    request dispatcher (:meth:`_handle`) and the shared-secret check, while
-    remote workers reach the worker-side half through
-    :class:`HttpWorkQueueClient` (directly or through any HTTP proxy).
+    object is the coordinator side of the transport: it holds the per-run
+    pending/claimed/result state, the request dispatcher (:meth:`_handle`)
+    and the shared-secret check, while remote workers reach the worker
+    half through :class:`HttpWorkQueueClient` (directly or through any
+    HTTP proxy).
 
     **Runs, not campaigns, are the unit of state.**  The queue hosts a
     registry of :class:`_RunState` — one per run id — and claims hand out
@@ -361,12 +361,16 @@ class HttpWorkQueue:
     runs, lowest index within a run), so one attached worker fleet serves
     every hosted run and keeps serving when any single run drains.  A
     single-campaign coordinator (:class:`~repro.campaign.backends.
-    DistributedBackend`) hosts exactly one run — the *default* run bound to
-    the plain :class:`~repro.campaign.workqueue.WorkQueue` protocol methods
-    (``enqueue``/``collect``/``reset``/...), which preserves their
-    one-campaign semantics verbatim — while the campaign service
-    (:mod:`repro.campaign.service`) adds and retires runs on the fly via
-    :meth:`add_run` / :meth:`cancel_run` / :meth:`remove_run`.
+    DistributedBackend`) passes its ``run_id`` and hosts exactly that run,
+    which the plain coordinator methods (``enqueue``/``collect``/``reset``/
+    ...) are bound to.  Without a ``run_id`` the queue hosts no run at all:
+    the campaign service (:mod:`repro.campaign.service`) adds runs as
+    tenants submit them (:meth:`add_run`) and cancels them
+    (:meth:`cancel_run`).
+
+    The ping/status ``mode`` is ``"service"`` while a
+    :class:`~repro.campaign.service.CampaignService` is attached to the
+    server and ``"campaign"`` otherwise.
 
     Lifecycle is split accordingly: :meth:`request_stop` raises the
     *transport-level* sentinel ("this coordinator is going away, workers
@@ -385,22 +389,15 @@ class HttpWorkQueue:
     need none.
     """
 
-    #: Ping/status self-description: a plain campaign coordinator or a
-    #: persistent multi-run service daemon.
-    _MODES = ("campaign", "service")
-
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         run_id: str | None = None,
         auth_token: str | Sequence[str] | None = None,
-        mode: str = "campaign",
     ) -> None:
         if run_id is not None:
             validate_run_id(run_id)
-        if mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {mode!r}")
         if isinstance(auth_token, str):
             auth_token = (auth_token,)
         elif auth_token is not None:
@@ -409,13 +406,12 @@ class HttpWorkQueue:
             not auth_token or not all(auth_token)
         ):
             raise ValueError("auth tokens must be non-empty strings")
-        self.run_id = run_id or _DEFAULT_RUN
-        self.mode = mode
+        self.run_id = run_id
         self._auth_tokens = auth_token
         self._lock = threading.Lock()
-        self._runs: dict[str, _RunState] = {
-            self.run_id: _RunState(self.run_id)
-        }
+        self._runs: dict[str, _RunState] = {}
+        if run_id is not None:
+            self._runs[run_id] = _RunState(run_id)
         self._claims: dict[str, _Claim] = {}
         self._rotation = 0
         self._stop = False
@@ -456,7 +452,7 @@ class HttpWorkQueue:
         self._thread = threading.Thread(
             target=self._server.serve_forever,
             kwargs={"poll_interval": 0.05},
-            name=f"{type(self).__name__}-{self.run_id}",
+            name=f"{type(self).__name__}-{self.run_id or 'service'}",
             daemon=True,
         )
         self._thread.start()
@@ -490,7 +486,7 @@ class HttpWorkQueue:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- run registry (service mode hosts many; campaign mode keeps one) ---------
+    # -- run registry (a service hosts many; a campaign coordinator one) --------
 
     def add_run(self, run_id: str) -> None:
         """Host a new run alongside the existing ones.
@@ -503,18 +499,6 @@ class HttpWorkQueue:
             if run_id in self._runs:
                 raise ValueError(f"run {run_id!r} is already hosted")
             self._runs[run_id] = _RunState(run_id)
-
-    def remove_run(self, run_id: str) -> None:
-        """Forget a hosted run entirely: pending tasks, results, and any
-        live leases on it.  The default run cannot be removed — it *is* the
-        identity of a single-campaign coordinator."""
-        with self._lock:
-            if run_id == self.run_id:
-                raise ValueError("cannot remove the coordinator's default run")
-            self._runs.pop(run_id, None)
-            for token, claim in list(self._claims.items()):
-                if claim.run == run_id:
-                    del self._claims[token]
 
     def cancel_run(self, run_id: str) -> bool:
         """Stop one hosted run without touching its siblings or the
@@ -533,13 +517,8 @@ class HttpWorkQueue:
         logger.info("run %s cancelled", run_id)
         return True
 
-    def run_ids(self) -> list[str]:
-        """Ids of every hosted run (the default run included), sorted."""
-        with self._lock:
-            return sorted(self._runs)
-
     def run_cancelled(self, run_id: str) -> bool:
-        """Whether a hosted run was cancelled (or removed entirely)."""
+        """Whether a hosted run was cancelled (or is not hosted at all)."""
         with self._lock:
             state = self._runs.get(run_id)
             return state is None or state.cancelled
@@ -601,27 +580,30 @@ class HttpWorkQueue:
             self._auth_tokens = (new_token,) + kept
         logger.info("auth token rotated (%d previous kept)", len(kept))
 
+    def _mode(self) -> str:
+        return "campaign" if self._server.service is None else "service"
+
     def ping_info(self) -> dict[str, Any]:
         """Structured ping body: protocol schema version and service mode,
         so clients and workers can fail fast on daemon/client version skew
         instead of hitting decode errors mid-campaign."""
+        mode = self._mode()
         return {
             "ok": True,
             "protocol": PROTOCOL_VERSION,
-            "mode": self.mode,
-            "service": self.mode == "service",
+            "mode": mode,
+            "service": mode == "service",
         }
 
-    # -- coordinator side (WorkQueue protocol, bound to the default run) ---------
+    # -- coordinator side (bound to this coordinator's own run) ------------------
 
     def enqueue(self, index: int, payload: Any) -> None:
         self.enqueue_in(self.run_id, index, payload)
 
     def reset(self) -> None:
-        """Clear the *default* run's queue state plus the coordinator-wide
-        stop/retire flags — exactly the old single-campaign semantics.
-        Other hosted runs are untouched (the service resets a tenant by
-        cancel/remove instead)."""
+        """Clear this coordinator's run's queue state plus the
+        coordinator-wide stop/retire flags.  Other hosted runs are untouched
+        (the service ends a tenant's run by cancelling it instead)."""
         with self._lock:
             state = self._runs[self.run_id]
             state.pending.clear()
@@ -747,7 +729,7 @@ class HttpWorkQueue:
         claimed.sort(key=lambda entry: (entry["run"], entry["index"]))
         return {
             "run": self.run_id,
-            "mode": self.mode,
+            "mode": self._mode(),
             "protocol": PROTOCOL_VERSION,
             "uptime_s": round(now - self._started, 3),
             "auth": self._auth_tokens is not None,
@@ -959,7 +941,7 @@ def _is_loopback(host: str | None) -> bool:
 
 
 class HttpWorkQueueClient:
-    """Worker-side :class:`~repro.campaign.workqueue.WorkQueue` over HTTP.
+    """The worker half (:class:`~repro.campaign.workqueue.WorkQueue`) over HTTP.
 
     Every operation is one short-lived POST against a coordinator (or proxy)
     base URL, so a worker holds no state
@@ -1104,32 +1086,6 @@ class HttpWorkQueueClient:
                 "older side"
             )
         return response
-
-    # -- coordinator-side protocol methods (a client is worker-only) -------------
-
-    def enqueue(self, index: int, payload: Any) -> None:
-        raise NotImplementedError("enqueue tasks on the coordinator's work queue")
-
-    def reset(self) -> None:
-        raise NotImplementedError("reset happens on the coordinator's work queue")
-
-    def reclaim_expired(self, lease_timeout: float) -> list[int]:
-        raise NotImplementedError("leases are reclaimed by the coordinator")
-
-    def collect(self, seen: Iterable[int] = ()) -> dict[int, Any]:
-        raise NotImplementedError("results are collected by the coordinator")
-
-    def pending_count(self) -> int:
-        raise NotImplementedError("pending counts live on the coordinator")
-
-    def request_stop(self) -> None:
-        raise NotImplementedError("stop is requested by the coordinator")
-
-    def touch_coordinator(self) -> None:
-        raise NotImplementedError("only the coordinator heartbeats itself")
-
-    def set_retire_credits(self, count: int) -> None:
-        raise NotImplementedError("retire credits are granted by the coordinator")
 
     # -- internal ----------------------------------------------------------------
 

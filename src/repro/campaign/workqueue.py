@@ -28,12 +28,13 @@ results are valid renderings of a pure function, and the atomic result
 rename makes the last write win cleanly.
 
 The claim/complete/heartbeat/stop semantics are transport-independent:
-:class:`WorkQueue` is the protocol both this directory transport and the
-HTTP transport (:mod:`repro.campaign.transport`) implement, and everything
-above the queue (the :class:`~repro.campaign.backends.DistributedBackend`
-coordinator loop, ``python -m repro.campaign.worker``) is written against
-it.  Lease handles are opaque to the worker: a :class:`~pathlib.Path` here,
-a token over HTTP.
+:class:`WorkQueue` is the worker half both this directory transport and the
+HTTP transport (:mod:`repro.campaign.transport`) implement, and
+``python -m repro.campaign.worker`` is written against it.  The coordinator
+side has no protocol: :class:`~repro.campaign.backends.DistributedBackend`
+drives the two concrete queues, :class:`FileWorkQueue` and
+:class:`~repro.campaign.transport.HttpWorkQueue`.  Lease handles are opaque
+to the worker: a :class:`~pathlib.Path` here, a token over HTTP.
 """
 
 from __future__ import annotations
@@ -175,16 +176,17 @@ WorkItem = tuple[int, Any, Any]
 
 @runtime_checkable
 class WorkQueue(Protocol):
-    """Transport-agnostic campaign work queue.
+    """Worker half of a campaign work queue: what
+    :func:`~repro.campaign.worker.run_worker` drives.
 
-    One object per campaign run, usable from both sides: the **coordinator**
-    enqueues tasks, re-issues expired leases, collects results and raises the
-    stop sentinel; **workers** claim tasks, heartbeat their lease while
-    executing, and publish results.  Implementations:
-    :class:`FileWorkQueue` (shared directory) and
-    :class:`~repro.campaign.transport.HttpWorkQueue` /
-    :class:`~repro.campaign.transport.HttpWorkQueueClient` (HTTP/JSON, one
-    POST per operation).
+    Workers claim tasks, heartbeat their lease while executing, publish
+    results, and exit on the stop sentinel, a retire credit or an orphaned
+    coordinator.  Implementations: :class:`FileWorkQueue` (shared
+    directory) and :class:`~repro.campaign.transport.HttpWorkQueueClient`
+    (HTTP/JSON, one POST per operation); the coordinator-side
+    :class:`~repro.campaign.transport.HttpWorkQueue` serves the same calls
+    in-process.  The coordinator operations (enqueue, lease reclaim,
+    collect, stop, retire credits) live on the two concrete queue classes.
 
     Contract highlights every implementation must preserve:
 
@@ -193,31 +195,11 @@ class WorkQueue(Protocol):
     * a lease whose heartbeat is older than ``lease_timeout`` may be
       re-issued; the original claimer completing late publishes a duplicate
       — equally valid — result;
-    * results are namespaced by run id: a coordinator only collects its own
-      run's results;
-    * :meth:`set_retire_credits` / :meth:`try_retire` let the coordinator
-      shrink the fleet: one credit allows exactly one *idle* worker to exit.
+    * results are answered under the claimed task's run id, so a
+      coordinator only collects its own run's results;
+    * :meth:`try_retire` consumes one of the coordinator's retire credits:
+      one credit allows exactly one *idle* worker to exit.
     """
-
-    # -- coordinator side ----------------------------------------------------
-
-    def enqueue(self, index: int, payload: Any) -> Any: ...
-
-    def reset(self) -> None: ...
-
-    def reclaim_expired(self, lease_timeout: float) -> list[int]: ...
-
-    def collect(self, seen: Iterable[int] = ()) -> dict[int, Any]: ...
-
-    def pending_count(self) -> int: ...
-
-    def request_stop(self) -> None: ...
-
-    def touch_coordinator(self) -> None: ...
-
-    def set_retire_credits(self, count: int) -> None: ...
-
-    # -- worker side ---------------------------------------------------------
 
     def claim(self, worker_id: str) -> WorkItem | None: ...
 

@@ -33,6 +33,7 @@ from repro.campaign import (
     FileWorkQueue,
     ScenarioGrid,
 )
+from repro.campaign.backends import drain_in_order
 from repro.campaign.results import SUMMARY_FIELDS, VariantOutcome
 from repro.campaign.spec import build_runner, build_scenario
 from repro.campaign.worker import run_worker
@@ -343,6 +344,74 @@ class TestDistributedBackend:
                                      poll_interval=0.05)
         with pytest.raises(RuntimeError, match="workers exited"):
             list(backend.map(_exit_hard, [1, 2]))
+
+
+class TestDrainInOrder:
+    """The coordinator loop shared by the distributed, hosted-run and
+    service backends, driven by a scripted ``collect``."""
+
+    @staticmethod
+    def scripted(*batches):
+        """A ``collect`` that turns up one batch of results per poll."""
+        remaining = list(batches)
+
+        def collect(seen):
+            batch = remaining.pop(0) if remaining else {}
+            return {index: result for index, result in batch.items()
+                    if index not in seen}
+
+        return collect
+
+    def test_yields_in_input_order_reports_in_completion_order(self):
+        events = []
+        collect = self.scripted(
+            {2: ("ok", "c")}, {0: ("ok", "a")}, {}, {1: ("ok", "b")})
+        drained = drain_in_order(
+            3, collect, lambda index, value: events.append(("done", index)),
+            0.0)
+        for value in drained:
+            events.append(("yield", value))
+        assert events == [
+            ("done", 2), ("done", 0), ("yield", "a"),
+            ("done", 1), ("yield", "b"), ("yield", "c"),
+        ]
+
+    @pytest.mark.parametrize("source", [
+        "distributed worker", "worker", "service worker",
+    ])
+    def test_failure_keeps_the_callers_prefix(self, source):
+        collect = self.scripted({0: ("ok", 1), 1: ("error", "Traceback: boom")})
+        with pytest.raises(RuntimeError) as excinfo:
+            list(drain_in_order(2, collect, None, 0.0, source=source))
+        assert str(excinfo.value) == f"{source} failed on item 1:\nTraceback: boom"
+
+    def test_tick_runs_after_collect_so_an_abort_drops_no_result(self):
+        events = []
+
+        def fleet_died(done):
+            events.append(("tick", done))
+            raise RuntimeError("all workers exited")
+
+        collect = self.scripted({0: ("ok", "a"), 2: ("ok", "c")})
+        drained = drain_in_order(
+            3, collect, lambda index, value: events.append(("done", index)),
+            0.0, fleet_died)
+        yielded = []
+        with pytest.raises(RuntimeError, match="all workers exited"):
+            for value in drained:
+                yielded.append(value)
+        assert yielded == ["a"]
+        assert events == [("done", 0), ("done", 2), ("tick", 2)]
+
+    def test_tick_that_would_abort_after_the_last_result_never_runs(self):
+        # The last worker exits right after delivering the final result:
+        # the result is yielded, not lost to the dead-fleet check.
+        def fleet_died(done):
+            raise RuntimeError("all workers exited")
+
+        collect = self.scripted({1: ("ok", "b"), 0: ("ok", "a")})
+        assert list(drain_in_order(2, collect, None, 0.0, fleet_died)) == [
+            "a", "b"]
 
 
 # -- fake backends for runner-level behaviour (no subprocesses, no flights) ----

@@ -18,6 +18,7 @@ start is paid per test; the subprocess fleet path is covered once.
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -40,7 +41,11 @@ from repro.campaign.client import (
     ServiceError,
     ServiceUnreachableError,
 )
-from repro.campaign.service import CampaignService, RunCancelled
+from repro.campaign.service import (
+    CampaignService,
+    RunCancelled,
+    _HostedQueueBackend,
+)
 from repro.campaign.worker import _idle_delay, run_worker
 from repro.campaign.workqueue import (
     AUTH_TOKEN_ENV,
@@ -48,6 +53,7 @@ from repro.campaign.workqueue import (
     resolve_auth_tokens,
 )
 from repro.sim import FlightScenario
+from repro.store import CampaignStore
 
 
 def _double(value):
@@ -76,7 +82,9 @@ def _tiny_grid(name: str, seeds: int = 2) -> ScenarioGrid:
 
 @pytest.fixture
 def queue():
-    server = HttpWorkQueue()
+    # A single-campaign coordinator's own run; the run-less queue of the
+    # daemon is covered by TestServiceEndToEnd.
+    server = HttpWorkQueue(run_id="rown")
     yield server
     server.close()
 
@@ -107,9 +115,9 @@ class TestMultiRunQueueState:
         queue.enqueue(0, "task-default")
         assert queue.pending_count_in("a") == 1
         assert queue.pending_count_in("b") == 1
-        # The classic single-run surface only sees the default run.
+        # The classic single-run surface only sees the coordinator's own run.
         assert queue.pending_count() == 1
-        assert sorted(queue.run_ids()) == sorted([queue.run_id, "a", "b"])
+        assert sorted(queue.status()["runs"]) == ["a", "b", "rown"]
 
     def test_duplicate_run_id_is_rejected(self, queue):
         queue.add_run("a")
@@ -163,10 +171,6 @@ class TestMultiRunQueueState:
             queue.enqueue_in("a", 0, "task")
         with pytest.raises(KeyError):
             queue.enqueue_in("never-added", 0, "task")
-
-    def test_default_run_cannot_be_removed(self, queue):
-        with pytest.raises(ValueError):
-            queue.remove_run(queue.run_id)
 
     def test_cancelled_runs_leases_are_dropped_not_reissued(self, queue):
         queue.add_run("a")
@@ -433,6 +437,78 @@ class TestServiceEndToEnd:
         assert list(ServiceClient(service.url).list_runs())[0]["state"] in (
             "done", "cancelled")
 
+    def test_daemon_hosts_only_submitted_runs(self, service):
+        from repro.campaign.transport import _encode
+
+        def scrape():
+            with urllib.request.urlopen(
+                    f"{service.url}/status", timeout=5.0) as reply:
+                runs = set(json.loads(reply.read())["runs"])
+            with urllib.request.urlopen(
+                    f"{service.url}/metrics", timeout=5.0) as reply:
+                text = reply.read().decode("utf-8")
+            return runs, set(re.findall(r'repro_run_\w+\{run="([^"]*)"\}', text))
+
+        assert scrape() == (set(), set())
+        client = ServiceClient(service.url)
+        # "run0" is an ordinary tenant run id: the daemon hosts no default
+        # run under that name that a submission could collide with.
+        client._request("POST", "/runs", {
+            "tasks": [_encode((_double, 1))], "run": "run0"})
+        other = client.submit_tasks([(_double, 2)])
+        expected = {"run0", other}
+        assert scrape() == (expected, expected)
+        assert {entry["run"] for entry in client.list_runs()} == expected
+
+    def test_cancelling_a_hosted_spec_run_flies_nothing(self, tmp_path):
+        # No fleet: the spec run's tasks stay pending until the cancel.  A
+        # cancel must unwind the daemon thread, not fall back to flying the
+        # grid serially there (which would write its cells to the store).
+        store_dir = tmp_path / "store"
+        with CampaignService(workers=0, store_dir=store_dir, poll_interval=0.02,
+                             lease_timeout=5.0) as daemon:
+            client = ServiceClient(daemon.url)
+            run_id = client.submit_spec(_tiny_spec("cancel-me"))
+            deadline = time.time() + 30.0
+            while (client.status(run_id).get("queue", {})
+                   .get("enqueued_total", 0) < 2):
+                assert time.time() < deadline, "tasks never enqueued"
+                time.sleep(0.02)
+            assert client.cancel(run_id) is True
+            thread = daemon._runs[run_id].thread
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert client.status(run_id)["state"] == "cancelled"
+            assert client.results(run_id)["result"] is None
+        assert len(CampaignStore(store_dir)) == 0
+
+    def test_service_backend_falls_back_when_its_run_is_cancelled(
+            self, service):
+        cancelled: list = []
+
+        def cancel_once_submitted():
+            client = ServiceClient(service.url)
+            deadline = time.time() + 30.0
+            while time.time() < deadline:
+                runs = client.list_runs()
+                if runs:
+                    cancelled.append(client.cancel(runs[0]["run"]))
+                    return
+                time.sleep(0.01)
+
+        thread = threading.Thread(target=cancel_once_submitted, daemon=True)
+        thread.start()
+        backend = ServiceBackend(url=service.url, poll_interval=0.02)
+        with pytest.warns(RuntimeWarning, match="finishing the remaining"):
+            result = CampaignRunner(backend=backend).run(
+                _tiny_grid("svc-cancelled"))
+        thread.join(timeout=10.0)
+        assert cancelled == [True]
+        assert re.search(r"service run \S+ ended as cancelled with 2 of 2 "
+                         "items outstanding", result.fallback_reason)
+        serial = CampaignRunner(mode="serial").run(_tiny_grid("svc-cancelled"))
+        assert result.summaries() == serial.summaries()
+
     def test_spec_validation_errors_are_client_errors(self, service):
         client = ServiceClient(service.url)
         with pytest.raises(ServiceError, match="exactly one of"):
@@ -568,3 +644,13 @@ class TestServiceClientSurface:
         # grid serially on the daemon thread.
         assert not issubclass(RunCancelled, Exception)
         assert issubclass(RunCancelled, BaseException)
+
+    def test_run_cancelled_before_enqueue_unwinds(self, queue):
+        # The cancel can land while the runner is still consulting the
+        # store, before map() enqueues anything: that too is a RunCancelled,
+        # not a backend failure the runner would answer by flying serially.
+        queue.add_run("late")
+        queue.cancel_run("late")
+        backend = _HostedQueueBackend(queue, "late", poll_interval=0.01)
+        with pytest.raises(RunCancelled):
+            list(backend.map(_double, [1, 2]))
